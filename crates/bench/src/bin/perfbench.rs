@@ -13,15 +13,10 @@
 //! Usage:
 //!   perfbench [--label NAME] [--scale full|small] [--out FILE]
 //!             [--compare FILE] [--max-regression X.Y]
-//!             [--threads N | --serial] [--shards N]
+//!             [--shards N]
 //!   perfbench --telemetry-out FILE
 //!
-//! `--threads N` runs the batched flash command paths on N per-channel
-//! worker threads (`ExecMode::Parallel`); `--serial` (the default) pins
-//! the single-threaded twin. Simulated results are byte-identical either
-//! way — the `parallel_equivalence` proptest enforces that — so the two
-//! modes differ only in host wall-clock, recorded per entry under the
-//! `host_threads` key.
+//! Every bench runs on one host thread; entries record `host_threads: 1`.
 //!
 //! `--shards N` (default 8; must divide the 8-channel array) sizes the
 //! sharded router the `shard_scale_64c` entry runs against, recorded per
@@ -41,9 +36,9 @@
 //! `--max-regression` (default 2.0×) against the most recent committed
 //! entry of the same bench name — that is the `scripts/perf_smoke.sh` gate.
 
-use eleos::{Eleos, EleosConfig, ExecMode, GcPolicy, PageMode, WriteBatch, WriteOpts};
+use eleos::{Eleos, EleosConfig, GcPolicy, PageMode, WriteBatch, WriteOpts};
 use eleos_bench::perfjson::{parse_entries, render_entry, BenchEntry};
-use eleos_bench::tpcc_driver::{run_tpcc_exec, Interface};
+use eleos_bench::tpcc_driver::{run_tpcc, Interface};
 use eleos_flash::{CostProfile, FlashDevice, Geometry, SpanKind};
 use eleos_workloads::{TpccTraceConfig, Zipfian};
 use rand::rngs::StdRng;
@@ -60,17 +55,9 @@ fn bench_geo() -> Geometry {
     } // 512 MB
 }
 
-/// The `host_threads` value an entry records for a given execution mode.
-fn threads_of(exec: ExecMode) -> u32 {
-    match exec {
-        ExecMode::Serial => 1,
-        ExecMode::Parallel { threads } => threads.max(1) as u32,
-    }
-}
-
 /// TPC-C batched-write path: replay the fitted compressed-page trace
 /// through ELEOS variable-size pages with a 1 MB write buffer.
-fn bench_tpcc_write(scale: &str, label: &str, exec: ExecMode) -> BenchEntry {
+fn bench_tpcc_write(scale: &str, label: &str) -> BenchEntry {
     // The smoke scale must still amortize per-run setup (trace generation,
     // device init) or the gate compares startup cost against steady state.
     let (volume, repeat): (u64, u32) = if scale == "small" {
@@ -92,14 +79,13 @@ fn bench_tpcc_write(scale: &str, label: &str, exec: ExecMode) -> BenchEntry {
             ..Default::default()
         };
         let t = Instant::now();
-        let r = run_tpcc_exec(
+        let r = run_tpcc(
             Interface::BatchVp,
             CostProfile::high_end_cpu(),
             bench_geo(),
             1024 * 1024,
             volume,
             trace_cfg,
-            exec,
         );
         host += t.elapsed().as_secs_f64();
         ops += r.pages;
@@ -120,7 +106,7 @@ fn bench_tpcc_write(scale: &str, label: &str, exec: ExecMode) -> BenchEntry {
         cpu_busy_ns: cpu_busy,
         flash_busy_ns: flash_busy,
         write_p99_ns: write_p99,
-        host_threads: threads_of(exec),
+        host_threads: 1,
         mapping_cache_pages: 1 << 16,
         gc_policy: GcPolicy::MinCostDecline.label().to_string(),
         shards: 1,
@@ -130,7 +116,7 @@ fn bench_tpcc_write(scale: &str, label: &str, exec: ExecMode) -> BenchEntry {
 
 /// YCSB-style read path: load variable-size pages, then issue Zipfian
 /// point reads straight against `Eleos::read`.
-fn bench_ycsb_read(scale: &str, label: &str, exec: ExecMode) -> BenchEntry {
+fn bench_ycsb_read(scale: &str, label: &str) -> BenchEntry {
     let (records, ops): (u64, u64) = if scale == "small" {
         (20_000, 60_000)
     } else {
@@ -141,7 +127,6 @@ fn bench_ycsb_read(scale: &str, label: &str, exec: ExecMode) -> BenchEntry {
         max_user_lpid: records + 1,
         ckpt_log_bytes: u64::MAX,
         mapping_cache_pages: 1 << 14,
-        execution: exec,
         ..Default::default()
     };
     let mut ssd = Eleos::format(dev, cfg).expect("format");
@@ -187,7 +172,7 @@ fn bench_ycsb_read(scale: &str, label: &str, exec: ExecMode) -> BenchEntry {
         cpu_busy_ns: snap.cpu_busy_ns - snap0.cpu_busy_ns,
         flash_busy_ns: snap.flash.total_busy_ns() - snap0.flash.total_busy_ns(),
         write_p99_ns: 0, // read bench: the measured window records no write spans
-        host_threads: threads_of(exec),
+        host_threads: 1,
         mapping_cache_pages: 1 << 14,
         gc_policy: GcPolicy::MinCostDecline.label().to_string(),
         shards: 1,
@@ -224,7 +209,7 @@ fn load_uniform(ssd: &mut Eleos, records: u64, rng: &mut StdRng) {
 /// channel's GC in flight at once. Runs both schedules; the appended
 /// entry is the deferred (default) one, the serial run feeds the printed
 /// simulated-time speedup.
-fn bench_gc_heavy(scale: &str, label: &str, exec: ExecMode) -> BenchEntry {
+fn bench_gc_heavy(scale: &str, label: &str) -> BenchEntry {
     let geo = bench_geo();
     let records = (geo.total_bytes() as f64 * 0.70 / 1400.0) as u64;
     let overwrites = if scale == "small" { records / 2 } else { records * 2 };
@@ -235,7 +220,6 @@ fn bench_gc_heavy(scale: &str, label: &str, exec: ExecMode) -> BenchEntry {
             ckpt_log_bytes: 16 * 1024 * 1024,
             mapping_cache_pages: 1 << 14,
             defer_io,
-            execution: exec,
             ..Default::default()
         };
         let mut ssd = Eleos::format(dev, cfg).expect("format");
@@ -281,7 +265,7 @@ fn bench_gc_heavy(scale: &str, label: &str, exec: ExecMode) -> BenchEntry {
         cpu_busy_ns: snap.cpu_busy_ns,
         flash_busy_ns: snap.flash.total_busy_ns(),
         write_p99_ns: snap.span(SpanKind::WriteBatch).p99(),
-        host_threads: threads_of(exec),
+        host_threads: 1,
         mapping_cache_pages: 1 << 14,
         gc_policy: GcPolicy::MinCostDecline.label().to_string(),
         shards: 1,
@@ -292,7 +276,7 @@ fn bench_gc_heavy(scale: &str, label: &str, exec: ExecMode) -> BenchEntry {
 /// Batched read path: uniform point reads in groups of 16 through
 /// `Eleos::read_batch`, on the weak-controller profile whose 60 µs flash
 /// reads are what deferred completion hides.
-fn bench_read_batch(scale: &str, label: &str, exec: ExecMode) -> BenchEntry {
+fn bench_read_batch(scale: &str, label: &str) -> BenchEntry {
     let (records, ops): (u64, u64) = if scale == "small" {
         (20_000, 60_000)
     } else {
@@ -305,7 +289,6 @@ fn bench_read_batch(scale: &str, label: &str, exec: ExecMode) -> BenchEntry {
             ckpt_log_bytes: u64::MAX,
             mapping_cache_pages: 1 << 14,
             defer_io,
-            execution: exec,
             ..Default::default()
         };
         let mut ssd = Eleos::format(dev, cfg).expect("format");
@@ -350,7 +333,7 @@ fn bench_read_batch(scale: &str, label: &str, exec: ExecMode) -> BenchEntry {
         cpu_busy_ns: snap.cpu_busy_ns,
         flash_busy_ns: snap.flash.total_busy_ns(),
         write_p99_ns: 0, // read bench: the timed window issues no writes
-        host_threads: threads_of(exec),
+        host_threads: 1,
         mapping_cache_pages: 1 << 14,
         gc_policy: GcPolicy::MinCostDecline.label().to_string(),
         shards: 1,
@@ -440,14 +423,6 @@ fn main() {
     let max_regression: f64 = get_flag("--max-regression")
         .and_then(|v| v.parse().ok())
         .unwrap_or(2.0);
-    // `--serial` (the default) and `--threads N` pick the flash execution
-    // mode; N <= 1 degenerates to the serial twin.
-    let exec = match get_flag("--threads").and_then(|v| v.parse::<usize>().ok()) {
-        Some(threads) if threads > 1 && !args.iter().any(|a| a == "--serial") => {
-            ExecMode::Parallel { threads }
-        }
-        _ => ExecMode::Serial,
-    };
     // `--shards N` sizes the shard_scale entry's router (8 must divide
     // evenly); the other benches always run the unsharded path.
     let shards = get_flag("--shards")
@@ -455,17 +430,14 @@ fn main() {
         .filter(|&n| n >= 1 && 8 % n == 0)
         .unwrap_or(8);
 
-    eprintln!(
-        "perfbench: label={label} scale={scale} host_threads={} shards={shards}",
-        threads_of(exec)
-    );
+    eprintln!("perfbench: label={label} scale={scale} shards={shards}");
     let entries = vec![
-        bench_tpcc_write(&scale, &label, exec),
-        bench_ycsb_read(&scale, &label, exec),
-        bench_gc_heavy(&scale, &label, exec),
-        bench_read_batch(&scale, &label, exec),
-        eleos_bench::frontend_scale::bench_frontend_scale(&scale, &label, exec),
-        eleos_bench::shard_scale::bench_shard_scale(&scale, &label, exec, shards),
+        bench_tpcc_write(&scale, &label),
+        bench_ycsb_read(&scale, &label),
+        bench_gc_heavy(&scale, &label),
+        bench_read_batch(&scale, &label),
+        eleos_bench::frontend_scale::bench_frontend_scale(&scale, &label),
+        eleos_bench::shard_scale::bench_shard_scale(&scale, &label, shards),
         eleos_bench::net_scale::bench_net_scale(&scale, &label),
     ];
     for e in &entries {

@@ -13,7 +13,7 @@
 use crate::perfjson::BenchEntry;
 use crate::report::Table;
 use eleos::frontend::{Frontend, GroupCommitPolicy};
-use eleos::{Eleos, EleosConfig, EleosError, ExecMode, PageMode, WriteBatch, WriteOpts};
+use eleos::{Eleos, EleosConfig, EleosError, PageMode, WriteBatch, WriteOpts};
 use eleos_flash::{CostProfile, FlashDevice, Geometry, SpanKind};
 use eleos_workloads::multi_client::{generate, total_pages, ClientBatch, MultiClientConfig};
 use std::time::Instant;
@@ -54,12 +54,11 @@ fn schedule(clients: usize, batches_per_client: usize) -> Vec<ClientBatch> {
 /// window *must* checkpoint — the serial-submission baseline burns one WAL
 /// commit per 1 KB batch, and without truncation-reclaim the log area
 /// exhausts the 512 MB device and shuts the controller down.
-fn controller(clients: usize, exec: ExecMode, ckpt_log_bytes: u64) -> Eleos {
+fn controller(clients: usize, ckpt_log_bytes: u64) -> Eleos {
     let cfg = EleosConfig {
         max_user_lpid: clients as u64 * 128 + 1,
         ckpt_log_bytes,
         mapping_cache_pages: 1 << 12,
-        execution: exec,
         ..Default::default()
     };
     Eleos::format(FlashDevice::new(geo(), CostProfile::high_end_cpu()), cfg).expect("format")
@@ -123,19 +122,11 @@ pub struct FrontendScalePoint {
     pub write_p99_ns: u64,
 }
 
-/// Run one client count over `batches_per_client` arrivals per client.
-pub fn run_point(clients: usize, batches_per_client: usize) -> FrontendScalePoint {
-    run_point_exec(clients, batches_per_client, ExecMode::Serial, u64::MAX)
-}
-
-/// `run_point` with an explicit flash execution mode (`perfbench
-/// --threads`) and checkpoint interval. Both the grouped run and the
-/// serial-submission baseline use the same mode; simulated durations are
-/// identical across modes, so the speedup column is too.
-pub fn run_point_exec(
+/// Run one client count over `batches_per_client` arrivals per client,
+/// checkpointing every `ckpt_log_bytes` of log (see `controller`).
+pub fn run_point(
     clients: usize,
     batches_per_client: usize,
-    exec: ExecMode,
     ckpt_log_bytes: u64,
 ) -> FrontendScalePoint {
     let sched = schedule(clients, batches_per_client);
@@ -146,7 +137,7 @@ pub fn run_point_exec(
         .sum();
 
     // Group-commit run.
-    let mut ssd = controller(clients, exec, ckpt_log_bytes);
+    let mut ssd = controller(clients, ckpt_log_bytes);
     let mut fe = Frontend::new(clients, policy());
     let sim0 = ssd.now();
     let programmed0 = ssd.device().stats().bytes_programmed;
@@ -162,7 +153,7 @@ pub fn run_point_exec(
     let snap = ssd.snapshot();
 
     // Per-client serial submission: same arrivals, one write per batch.
-    let mut serial = controller(clients, exec, ckpt_log_bytes);
+    let mut serial = controller(clients, ckpt_log_bytes);
     let serial0 = serial.now();
     for cb in &sched {
         serial.device_mut().clock_mut().wait_until(cb.at);
@@ -205,7 +196,7 @@ pub fn frontend_scale_table() -> (Table, &'static str) {
         ],
     );
     for clients in [1usize, 2, 4, 8, 16, 32, 64] {
-        let p = run_point(clients, 64);
+        let p = run_point(clients, 64, u64::MAX);
         t.row(vec![
             clients.to_string(),
             p.batches.to_string(),
@@ -240,9 +231,9 @@ pub fn frontend_scale_table() -> (Table, &'static str) {
 /// lasts >= 0.5 host-seconds on a development machine — short windows put
 /// startup jitter in the same decade as the signal and made the committed
 /// trajectory noisy.
-pub fn bench_frontend_scale(scale: &str, label: &str, exec: ExecMode) -> BenchEntry {
+pub fn bench_frontend_scale(scale: &str, label: &str) -> BenchEntry {
     let batches_per_client = if scale == "small" { 128 } else { 4096 };
-    let p = run_point_exec(64, batches_per_client, exec, 16 * 1024 * 1024);
+    let p = run_point(64, batches_per_client, 16 * 1024 * 1024);
     eprintln!(
         "  frontend_scale: 64 clients, {} groups, simulated speedup {:.2}x vs serial \
          submission, worst p99 queue delay {} us",
@@ -262,10 +253,7 @@ pub fn bench_frontend_scale(scale: &str, label: &str, exec: ExecMode) -> BenchEn
         cpu_busy_ns: p.cpu_busy_ns,
         flash_busy_ns: p.flash_busy_ns,
         write_p99_ns: p.write_p99_ns,
-        host_threads: match exec {
-            ExecMode::Serial => 1,
-            ExecMode::Parallel { threads } => threads.max(1) as u32,
-        },
+        host_threads: 1,
         mapping_cache_pages: 1 << 12,
         gc_policy: eleos::GcPolicy::MinCostDecline.label().to_string(),
         shards: 1,
@@ -283,7 +271,7 @@ mod tests {
     /// by a small multiple of the flush interval.
     #[test]
     fn frontend_scale_64_clients_beats_serial() {
-        let p = run_point(64, 24);
+        let p = run_point(64, 24, u64::MAX);
         assert!(
             p.speedup >= 1.3,
             "64-client speedup {:.2}x below the 1.3x floor \
@@ -306,7 +294,7 @@ mod tests {
     /// small but the grouped path may never be slower than ~parity.
     #[test]
     fn frontend_scale_single_client_is_no_worse() {
-        let p = run_point(1, 48);
+        let p = run_point(1, 48, u64::MAX);
         assert!(
             p.speedup >= 0.95,
             "single-client grouped run regressed: {:.2}x",

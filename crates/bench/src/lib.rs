@@ -12,6 +12,8 @@
 //! reproduction target is the *shape* — who wins, by what factor, where
 //! the crossovers sit.
 
+#![forbid(unsafe_code)]
+
 pub mod ablation;
 pub mod chaos;
 pub mod experiments;

@@ -19,7 +19,7 @@ use crate::perfjson::BenchEntry;
 use crate::report::Table;
 use eleos::frontend::GroupCommitPolicy;
 use eleos::sharded::{ShardedEleos, ShardedFrontend};
-use eleos::{EleosConfig, ExecMode, PageMode, TelemetrySnapshot, WriteBatch};
+use eleos::{EleosConfig, PageMode, TelemetrySnapshot, WriteBatch};
 use eleos_flash::{CostProfile, FlashDevice, Geometry, SpanKind};
 use eleos_workloads::multi_client::{generate, total_pages, ClientBatch, MultiClientConfig};
 use std::time::Instant;
@@ -54,12 +54,11 @@ fn schedule(clients: usize, batches_per_client: usize) -> Vec<ClientBatch> {
     })
 }
 
-fn config(clients: usize, exec: ExecMode, ckpt_log_bytes: u64) -> EleosConfig {
+fn config(clients: usize, ckpt_log_bytes: u64) -> EleosConfig {
     EleosConfig {
         max_user_lpid: clients as u64 * 128 + 1,
         ckpt_log_bytes,
         mapping_cache_pages: 1 << 12,
-        execution: exec,
         ..Default::default()
     }
 }
@@ -112,11 +111,10 @@ pub fn run_point(
     n_shards: usize,
     clients: usize,
     batches_per_client: usize,
-    exec: ExecMode,
     ckpt_log_bytes: u64,
 ) -> ShardScalePoint {
     let sched = schedule(clients, batches_per_client);
-    let cfg = config(clients, exec, ckpt_log_bytes);
+    let cfg = config(clients, ckpt_log_bytes);
     let devs: Vec<FlashDevice> = (0..n_shards)
         .map(|_| FlashDevice::new(shard_geo(n_shards), CostProfile::high_end_cpu()))
         .collect();
@@ -167,7 +165,7 @@ pub fn shard_scale_table() -> (Table, &'static str) {
     );
     let mut base_ns = 0u64;
     for n in [1usize, 2, 4, 8] {
-        let p = run_point(n, 64, 48, ExecMode::Serial, u64::MAX);
+        let p = run_point(n, 64, 48, u64::MAX);
         if n == 1 {
             base_ns = p.sim_ns;
         }
@@ -204,9 +202,9 @@ pub fn shard_scale_table() -> (Table, &'static str) {
 /// container `host_seconds` measures the router's dispatch overhead, not a
 /// parallel speedup (the shards' *simulated* clocks advance concurrently,
 /// the host loop is serial).
-pub fn bench_shard_scale(scale: &str, label: &str, exec: ExecMode, n_shards: usize) -> BenchEntry {
+pub fn bench_shard_scale(scale: &str, label: &str, n_shards: usize) -> BenchEntry {
     let batches_per_client = if scale == "small" { 64 } else { 2048 };
-    let p = run_point(n_shards, 64, batches_per_client, exec, 16 * 1024 * 1024);
+    let p = run_point(n_shards, 64, batches_per_client, 16 * 1024 * 1024);
     eprintln!(
         "  shard_scale: {} shards, 64 clients, {} groups, {:.0} simulated pages/sec",
         p.shards,
@@ -225,10 +223,7 @@ pub fn bench_shard_scale(scale: &str, label: &str, exec: ExecMode, n_shards: usi
         cpu_busy_ns: p.cpu_busy_ns,
         flash_busy_ns: p.flash_busy_ns,
         write_p99_ns: p.write_p99_ns,
-        host_threads: match exec {
-            ExecMode::Serial => 1,
-            ExecMode::Parallel { threads } => threads.max(1) as u32,
-        },
+        host_threads: 1,
         mapping_cache_pages: 1 << 12,
         gc_policy: eleos::GcPolicy::MinCostDecline.label().to_string(),
         shards: n_shards as u32,
@@ -247,7 +242,7 @@ mod tests {
     #[test]
     fn one_shard_matches_unsharded_exactly() {
         let sched = schedule(16, 12);
-        let cfg = config(16, ExecMode::Serial, u64::MAX);
+        let cfg = config(16, u64::MAX);
 
         let dev = FlashDevice::new(shard_geo(1), CostProfile::high_end_cpu());
         let mut ssd = Eleos::format(dev, cfg.clone()).expect("format");
@@ -279,7 +274,7 @@ mod tests {
         let mut last = 0.0f64;
         let mut curve = Vec::new();
         for n in [1usize, 2, 4, 8] {
-            let p = run_point(n, 64, 24, ExecMode::Serial, u64::MAX);
+            let p = run_point(n, 64, 24, u64::MAX);
             let tput = p.sim_pages_per_sec();
             curve.push((n, tput));
             assert!(

@@ -14,7 +14,7 @@
 //! * **Batch (VP)** — ELEOS with variable-size pages: one context per
 //!   buffer, no padding.
 
-use eleos::{Eleos, EleosConfig, ExecMode, PageMode, WriteBatch, WriteOpts};
+use eleos::{Eleos, EleosConfig, PageMode, WriteBatch, WriteOpts};
 use eleos_flash::{CostProfile, FlashDevice, Geometry, Nanos, SpanKind};
 use eleos_workloads::{PageWrite, TpccTrace, TpccTraceConfig};
 use oxblock::{OxBlock, OxConfig};
@@ -85,55 +85,9 @@ pub fn run_tpcc(
     volume_bytes: u64,
     trace_cfg: TpccTraceConfig,
 ) -> TpccResult {
-    run_tpcc_exec(
-        interface,
-        profile,
-        geo,
-        buffer_bytes,
-        volume_bytes,
-        trace_cfg,
-        ExecMode::Serial,
-    )
-}
-
-/// `run_tpcc` with an explicit flash execution mode (`perfbench --threads`).
-/// The Block interface has no batched execution path, so `exec` only
-/// affects the Batch(FP)/Batch(VP) runs; simulated results are identical
-/// either way — the mode changes host wall-clock only.
-pub fn run_tpcc_exec(
-    interface: Interface,
-    profile: CostProfile,
-    geo: Geometry,
-    buffer_bytes: usize,
-    volume_bytes: u64,
-    trace_cfg: TpccTraceConfig,
-    exec: ExecMode,
-) -> TpccResult {
     let max_lpid = trace_cfg.pages + 1;
     let trace = TpccTrace::new(trace_cfg);
-    match interface {
-        Interface::Block => run_block(profile, geo, buffer_bytes, volume_bytes, trace),
-        Interface::BatchFp => run_batch(
-            PageMode::Fixed(FIXED_PAGE as u32),
-            profile,
-            geo,
-            buffer_bytes,
-            volume_bytes,
-            trace,
-            max_lpid,
-            exec,
-        ),
-        Interface::BatchVp => run_batch(
-            PageMode::Variable,
-            profile,
-            geo,
-            buffer_bytes,
-            volume_bytes,
-            trace,
-            max_lpid,
-            exec,
-        ),
-    }
+    run_tpcc_trace(interface, profile, geo, buffer_bytes, volume_bytes, trace, max_lpid)
 }
 
 /// Replay an arbitrary page-write trace (e.g. the organic TPC-C engine's
@@ -157,7 +111,6 @@ pub fn run_tpcc_trace(
             volume_bytes,
             trace,
             max_lpid,
-            ExecMode::Serial,
         ),
         Interface::BatchVp => run_batch(
             PageMode::Variable,
@@ -167,12 +120,10 @@ pub fn run_tpcc_trace(
             volume_bytes,
             trace,
             max_lpid,
-            ExecMode::Serial,
         ),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_batch(
     mode: PageMode,
     profile: CostProfile,
@@ -181,7 +132,6 @@ fn run_batch(
     volume_bytes: u64,
     mut trace: impl Iterator<Item = PageWrite>,
     max_lpid: u64,
-    exec: ExecMode,
 ) -> TpccResult {
     let dev = FlashDevice::new(geo, profile);
     let cfg = EleosConfig {
@@ -190,7 +140,6 @@ fn run_batch(
         ckpt_log_bytes: 64 * 1024 * 1024,
         map_entries_per_page: 256,
         mapping_cache_pages: 1 << 16,
-        execution: exec,
         ..Default::default()
     };
     let mut ssd = Eleos::format(dev, cfg).unwrap();

@@ -12,6 +12,8 @@
 //! This is the application layer driven by the YCSB experiments
 //! (Fig. 10a–c).
 
+#![forbid(unsafe_code)]
+
 pub mod page;
 pub mod store;
 pub mod tree;

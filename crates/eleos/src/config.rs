@@ -1,7 +1,5 @@
 //! ELEOS configuration.
 
-use eleos_flash::ExecMode;
-
 /// Page sizing discipline across the I/O interface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PageMode {
@@ -197,13 +195,6 @@ pub struct EleosConfig {
     /// byte-identical to the same run with it on (enforced by proptest).
     /// Off reduces every record site to one branch.
     pub telemetry: bool,
-    /// Host execution mode for batched flash commands (DESIGN.md §12):
-    /// `Serial` runs every channel's work on the calling thread,
-    /// `Parallel { threads }` fans channels out over a persistent worker
-    /// pool. Simulated results, snapshots and telemetry are byte-identical
-    /// across modes (enforced by the `parallel_equivalence` proptest);
-    /// only host wall-clock changes.
-    pub execution: ExecMode,
 }
 
 impl Default for EleosConfig {
@@ -222,7 +213,6 @@ impl Default for EleosConfig {
             ckpt_retry_attempts: 3,
             defer_io: true,
             telemetry: true,
-            execution: ExecMode::Serial,
         }
     }
 }

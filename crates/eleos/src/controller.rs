@@ -220,7 +220,6 @@ impl Eleos {
     /// log EBLOCK, build free lists, and take the initial checkpoint.
     pub fn format(mut dev: FlashDevice, cfg: EleosConfig) -> Result<Eleos> {
         dev.telemetry_mut().set_enabled(cfg.telemetry);
-        dev.set_exec_mode(cfg.execution);
         let geo = *dev.geometry();
         assert!(geo.channels <= 64, "PhysAddr packs 6 channel bits");
         assert!(geo.eblocks_per_channel <= 1 << 18, "PhysAddr packs 18 eblock bits");
@@ -1265,11 +1264,11 @@ impl Eleos {
             })?;
         }
 
-        // ---- execution: transfer data to the storage media ----
-        // One batched submission: the device pre-resolves ordering, power
-        // and fault decisions in input order, then executes per channel —
-        // on worker threads under `ExecMode::Parallel`. The plan's buffers
-        // are refcount clones of the batch transport's, no byte copies.
+        // ---- execution phase: transfer data to the storage media ----
+        // One batched submission, programmed in input order without moving
+        // the CPU, so WBLOCKs on distinct channels overlap. The plan's
+        // buffers are refcount clones of the batch transport's, no byte
+        // copies.
         let mut max_done = 0;
         for r in self.dev.program_batch(&plan.ios) {
             match r {
@@ -1769,7 +1768,7 @@ impl Eleos {
     }
 
     /// Make a planned close durable after an abort interrupted its
-    /// execution: zero-fill any data WBLOCKs the aborted action never
+    /// execution, zero-fill any data WBLOCKs the aborted action never
     /// programmed (their space is already counted as garbage), then program
     /// whatever metadata WBLOCKs are still missing.
     fn ensure_close_durable(&mut self, c: &CloseEvent) -> Result<()> {

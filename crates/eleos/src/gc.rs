@@ -179,9 +179,8 @@ impl Eleos {
     /// schedule-identical to the legacy code.
     ///
     /// Multi-victim rounds go through [`FlashDevice::erase_batch`]: all
-    /// erases are submitted in one device batch (executing on the worker
-    /// pool under `ExecMode::Parallel`), then each successfully erased
-    /// block is retired in victim order. An error mid-batch still retires
+    /// erases are submitted in one device batch, then each successfully
+    /// erased block is retired in victim order. An error mid-batch still retires
     /// the successfully erased prefix — those blocks are physically erased,
     /// so their descriptors must not go stale — before propagating.
     pub(crate) fn erase_batch(&mut self, ebs: &[EblockAddr]) -> Result<()> {

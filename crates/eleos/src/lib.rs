@@ -61,6 +61,8 @@
 //! | VII write failures | [`controller`] (migration) |
 //! | VIII durability & recovery | [`wal`], [`ckpt`], [`recovery`] |
 
+#![forbid(unsafe_code)]
+
 pub mod api;
 pub mod batch;
 pub mod ckpt;
@@ -86,7 +88,6 @@ pub mod wal;
 pub use api::Controller;
 pub use batch::WriteBatch;
 pub use config::{EleosConfig, GcConfig, GcPolicy, MapCachePolicy, PageMode};
-pub use eleos_flash::ExecMode;
 pub use controller::{BatchAck, Eleos, WriteOpts};
 pub use error::{EleosError, Result};
 pub use frontend::{Frontend, GroupAck, GroupCommitPolicy};

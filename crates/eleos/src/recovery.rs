@@ -103,7 +103,6 @@ impl Eleos {
         coord: Option<&HashSet<u64>>,
     ) -> Result<(Eleos, CoordRecovery)> {
         dev.telemetry_mut().set_enabled(cfg.telemetry);
-        dev.set_exec_mode(cfg.execution);
         // Everything until the controller is handed back — checkpoint
         // probes, log scan, table loads, replay, fixups — is recovery work.
         // The activity is set on the *device* because most of it happens

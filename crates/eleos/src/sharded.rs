@@ -2,10 +2,9 @@
 //!
 //! The LPID space is hash-partitioned across N independent [`Eleos`]
 //! shards, each owning its own flash device (channels, WAL, GC, mapping,
-//! telemetry ledger) and its own `ExecMode` worker pool. [`ShardedEleos`]
-//! is the router: it splits a client batch into per-shard sub-batches and
-//! commits groups that straddle shards atomically with a **two-phase group
-//! commit** — every participant forces a `Prepare { gid }` record after
+//! telemetry ledger). [`ShardedEleos`] is the router: it splits a client
+//! batch into per-shard sub-batches and commits groups that straddle
+//! shards atomically with a **two-phase group commit** — every participant forces a `Prepare { gid }` record after
 //! its data programs, the coordinator (shard 0) forces `CoordCommit
 //! { gid }`, and only then do participants install and `Commit`. A crash
 //! anywhere in that window never exposes a half-applied group: recovery

@@ -32,20 +32,8 @@ pub struct SweepParams {
 }
 
 pub fn cfg(p: &SweepParams) -> EleosConfig {
-    // `scripts/ci.sh` runs the sweeps twice: once serial, once with
-    // ELEOS_EXEC_THREADS=4 so every cut point also lands under parallel
-    // flash execution (DESIGN.md §12) — power cuts must truncate the
-    // command stream identically regardless of host thread count.
-    let execution = match std::env::var("ELEOS_EXEC_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        Some(threads) if threads > 1 => eleos::ExecMode::Parallel { threads },
-        _ => eleos::ExecMode::Serial,
-    };
     EleosConfig {
         ckpt_log_bytes: p.ckpt_log_bytes,
-        execution,
         ..EleosConfig::test_small()
     }
 }

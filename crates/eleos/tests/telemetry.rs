@@ -1,12 +1,12 @@
 //! Telemetry must be a pure observer: toggling `EleosConfig::telemetry`
 //! cannot change a single simulated tick or stored byte, even across GC,
-//! checkpoints and crash/recover cycles. And when it is on, the
-//! attribution ledger must partition the device's busy time exactly
-//! (the conservation invariant).
+//! checkpoints, mid-write power cuts, injected program failures and
+//! crash/recover cycles. And when it is on, the attribution ledger must
+//! partition the device's busy time exactly (the conservation invariant).
 
 use eleos::frontend::{Frontend, GroupCommitPolicy};
 use eleos::{Eleos, EleosConfig, PageMode, WriteBatch, WriteOpts};
-use eleos_flash::{Activity, CostProfile, FlashDevice, Geometry, SpanKind};
+use eleos_flash::{Activity, CostProfile, FaultInjector, FlashDevice, Geometry, SpanKind};
 use eleos_workloads::multi_client::{generate, MultiClientConfig};
 use proptest::prelude::*;
 
@@ -19,7 +19,9 @@ enum Op {
     Delete(Vec<u64>),
     Checkpoint,
     Maintenance,
-    CrashRecover,
+    /// Power-cut after `n` further flash commands, drive one write into
+    /// the cut, crash, restore power, recover.
+    CrashRecover(u64),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -28,7 +30,21 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => prop::collection::vec(0u64..96, 1..6).prop_map(Op::Delete),
         1 => Just(Op::Checkpoint),
         1 => Just(Op::Maintenance),
-        1 => Just(Op::CrashRecover),
+        // The 6-page write issues only a few mutating commands: small
+        // budgets cut it mid-way, larger ones crash after it lands.
+        1 => (0u64..8).prop_map(Op::CrashRecover),
+    ]
+}
+
+/// Program-failure ordinals for `FaultInjector::script` (none, usually).
+fn fault_strategy() -> impl Strategy<Value = Vec<u64>> {
+    prop_oneof![
+        2 => Just(Vec::new()),
+        1 => prop::collection::vec(5u64..400, 1..3).prop_map(|mut v| {
+            v.sort_unstable();
+            v.dedup();
+            v
+        }),
     ]
 }
 
@@ -46,13 +62,14 @@ fn page_bytes(lpid: u64, seed: u8, len: u16) -> Vec<u8> {
         .collect()
 }
 
-/// Execute the script and return everything behavior-visible: the clock
-/// after every op, and the final readable content of the key space.
-fn run_script(ops: &[Op], telemetry: bool) -> (Vec<u64>, Vec<(u64, Vec<u8>)>) {
+/// Execute the script on a device that fails the programs at `faults`
+/// ordinals, and return everything behavior-visible: the clock after every
+/// op, and the final readable content of the key space.
+fn run_script(ops: &[Op], faults: &[u64], telemetry: bool) -> (Vec<u64>, Vec<(u64, Vec<u8>)>) {
     let c = cfg(telemetry);
-    let mut ssd =
-        Eleos::format(FlashDevice::new(Geometry::tiny(), CostProfile::unit()), c.clone())
-            .expect("format");
+    let dev = FlashDevice::new(Geometry::tiny(), CostProfile::unit())
+        .with_faults(FaultInjector::script(faults.iter().copied()));
+    let mut ssd = Eleos::format(dev, c.clone()).expect("format");
     let mut ticks = Vec::with_capacity(ops.len());
     for op in ops {
         match op {
@@ -72,8 +89,15 @@ fn run_script(ops: &[Op], telemetry: bool) -> (Vec<u64>, Vec<(u64, Vec<u8>)>) {
             Op::Maintenance => {
                 let _ = ssd.maintenance();
             }
-            Op::CrashRecover => {
-                let flash = ssd.crash();
+            Op::CrashRecover(n) => {
+                ssd.device_mut().set_power_cut_after(*n);
+                let mut b = WriteBatch::new(PageMode::Variable);
+                for lpid in 0..6u64 {
+                    b.put(lpid, &page_bytes(lpid, *n as u8, 900)).expect("put");
+                }
+                let _ = ssd.write(&b, WriteOpts::default());
+                let mut flash = ssd.crash();
+                flash.clear_power_cut();
                 ssd = Eleos::recover(flash, c.clone()).expect("recover");
             }
         }
@@ -102,10 +126,11 @@ proptest! {
     /// operation and byte-identical in what they stored.
     #[test]
     fn telemetry_toggle_is_invisible_to_simulation(
-        ops in prop::collection::vec(op_strategy(), 1..40)
+        ops in prop::collection::vec(op_strategy(), 1..40),
+        faults in fault_strategy(),
     ) {
-        let on = run_script(&ops, true);
-        let off = run_script(&ops, false);
+        let on = run_script(&ops, &faults, true);
+        let off = run_script(&ops, &faults, false);
         prop_assert_eq!(on.0, off.0, "simulated clocks diverged");
         prop_assert_eq!(on.1, off.1, "stored content diverged");
     }

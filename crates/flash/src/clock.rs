@@ -121,22 +121,6 @@ impl SimClock {
         self.channel_free[channel as usize].max(self.cpu_now)
     }
 
-    /// Raw busy-until horizon of `channel` (not clamped to the CPU time).
-    /// The batch execution engine seeds each channel worker's local horizon
-    /// from this and writes the final horizon back via
-    /// [`SimClock::set_channel_free`]; the per-command arithmetic is the
-    /// same `max(horizon, cpu_now) + duration` as [`SimClock::submit_channel`].
-    #[inline]
-    pub(crate) fn channel_free_raw(&self, channel: u32) -> Nanos {
-        self.channel_free[channel as usize]
-    }
-
-    /// Write back a channel's busy-until horizon after batch execution.
-    #[inline]
-    pub(crate) fn set_channel_free(&mut self, channel: u32, free_at: Nanos) {
-        self.channel_free[channel as usize] = free_at;
-    }
-
     /// Number of channels this clock models.
     #[inline]
     pub fn channels(&self) -> u32 {

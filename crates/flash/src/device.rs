@@ -9,15 +9,13 @@
 use crate::addr::{ByteExtent, EblockAddr, WblockAddr};
 use crate::clock::{IoTicket, Nanos, SimClock};
 use crate::cost::CostProfile;
-use crate::eblock::{check_program_rules, EblockSim};
+use crate::eblock::EblockSim;
 use crate::error::{FlashError, Result};
-use crate::exec::{ChannelCmd, ChannelDelta, ChannelShard, Exec, ExecMode};
 use crate::fault::FaultInjector;
 use crate::geometry::Geometry;
 use crate::stats::FlashStats;
 use bytes::Bytes;
 use eleos_telemetry::{FlashOp, Telemetry};
-use std::collections::HashMap;
 
 /// The emulated flash array plus its clock, cost model and fault injector.
 ///
@@ -48,10 +46,6 @@ pub struct FlashDevice {
     /// mutating command fails with [`FlashError::PowerLost`] without
     /// touching media, stats or the clock. `None` = mains power.
     power_budget: Option<u64>,
-    /// Batch execution backend: serial on the calling thread, or a
-    /// persistent per-channel worker pool (DESIGN.md §12). Only the batch
-    /// entry points route through it; single-command APIs stay serial.
-    exec: Exec,
 }
 
 impl FlashDevice {
@@ -78,22 +72,7 @@ impl FlashDevice {
             },
             endurance: u32::MAX,
             power_budget: None,
-            exec: Exec::Serial,
         }
-    }
-
-    /// Switch the host execution mode for batch entry points. Simulated
-    /// outcomes are unaffected — `Parallel` runs are byte-identical to
-    /// `Serial` ones — so this can be flipped at any quiescence point.
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        if self.exec.mode() != mode {
-            self.exec = Exec::from_mode(mode);
-        }
-    }
-
-    /// Current host execution mode.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec.mode()
     }
 
     /// Arm a simulated power cut: the next `n` mutating commands (programs
@@ -297,10 +276,12 @@ impl FlashDevice {
     }
 
     /// Submit a batch of extent reads without blocking the CPU: the deferred
-    /// completion path of the I/O scheduler. Submissions are issued
-    /// channel-major so extents on distinct channels overlap; results are
-    /// returned in the *input* order, each paired with an [`IoTicket`] the
-    /// caller retires later via [`SimClock::wait_all`].
+    /// completion path of the I/O scheduler. Each extent is issued through
+    /// [`FlashDevice::read_extent`] in input order; the CPU does not move
+    /// between submissions, so extents on distinct channels overlap on the
+    /// [`SimClock`]'s per-channel horizons. Results come back in input
+    /// order, each paired with an [`IoTicket`] the caller retires later via
+    /// [`SimClock::wait_all`].
     ///
     /// All extents are validated before anything is submitted, so a failed
     /// call leaves the clock and the counters untouched.
@@ -322,235 +303,54 @@ impl FlashDevice {
                 }
             }
         }
-        // A lone extent takes the per-op path (identical semantics, no
-        // batch bookkeeping).
-        if let [ext] = exts {
-            let (bytes, done) = self.read_extent(*ext)?;
-            return Ok(vec![(
-                bytes,
-                IoTicket {
-                    channel: ext.eblock.channel,
-                    done_at: done,
-                },
-            )]);
-        }
-        // Channel-major execution: each channel's extents keep input order,
-        // extents on distinct channels overlap (and, under
-        // [`ExecMode::Parallel`], execute on distinct host threads).
-        let mut per_ch: Vec<Vec<ChannelCmd>> = vec![Vec::new(); geo.channels as usize];
-        for (i, ext) in exts.iter().enumerate() {
-            per_ch[ext.eblock.channel as usize].push(ChannelCmd::Read { idx: i, ext: *ext });
-        }
-        let outs = self.run_batch(&per_ch, exts.len());
-        Ok(exts
-            .iter()
-            .zip(outs)
-            .map(|(ext, out)| {
-                (
-                    out.bytes.expect("read command produced bytes"),
-                    IoTicket {
-                        channel: ext.eblock.channel,
-                        done_at: out.done_at,
-                    },
-                )
+        exts.iter()
+            .map(|ext| {
+                let (bytes, done_at) = self.read_extent(*ext)?;
+                let channel = ext.eblock.channel;
+                Ok((bytes, IoTicket { channel, done_at }))
             })
-            .collect())
+            .collect()
     }
 
-    /// Program a batch of WBLOCKs with deferred completion. Commands are
-    /// validated, power-budgeted and fault-adjudicated on the calling
-    /// thread in exact input order — replicating [`FlashDevice::program`]'s
-    /// control flow, including that a caller loop stops at the first error
-    /// — then executed per channel under the configured [`ExecMode`].
+    /// Program a batch of WBLOCKs with deferred completion: a loop of
+    /// [`FlashDevice::program`] calls in input order that stops at the
+    /// first error. The CPU does not move between submissions, so programs
+    /// on distinct channels overlap on the [`SimClock`]'s per-channel
+    /// horizons; completion times are channel-timeline.
     ///
     /// Returns one result per *processed* command: `results.len()` is less
     /// than `cmds.len()` exactly when an error truncated the batch. A
-    /// command that fails by fault injection is still executed (it occupies
-    /// its channel and poisons the EBLOCK) and reports
-    /// [`FlashError::ProgramFailed`]; a command rejected by validation or
-    /// power loss leaves media, stats and the clock untouched. Completion
-    /// times are channel-timeline; the CPU is not blocked.
+    /// command that fails by fault injection still occupies its channel and
+    /// poisons the EBLOCK, and reports [`FlashError::ProgramFailed`]; a
+    /// command rejected by validation or power loss leaves media, stats and
+    /// the clock untouched.
     pub fn program_batch(&mut self, cmds: &[(WblockAddr, Bytes)]) -> Vec<Result<Nanos>> {
-        match cmds {
-            [] => Vec::new(),
-            [(addr, data)] => vec![self.program(*addr, data.clone(), &[])],
-            _ => self.program_batch_inner(cmds),
-        }
-    }
-
-    fn program_batch_inner(&mut self, cmds: &[(WblockAddr, Bytes)]) -> Vec<Result<Nanos>> {
-        let geo = self.geo;
-        let mut per_ch: Vec<Vec<ChannelCmd>> = vec![Vec::new(); geo.channels as usize];
-        // Virtual write frontiers: programs earlier in the batch advance
-        // the frontier later commands validate against, before any of them
-        // has been applied to the media.
-        let mut frontier: HashMap<(u32, u32), u32> = HashMap::new();
-        let mut stop_err: Option<FlashError> = None;
-        let mut attempted = 0usize;
-        for (i, (addr, data)) in cmds.iter().enumerate() {
-            if !addr.in_bounds(&geo) {
-                stop_err = Some(FlashError::OutOfBounds);
+        let mut results = Vec::with_capacity(cmds.len());
+        for (addr, data) in cmds {
+            let r = self.program(*addr, data.clone(), &[]);
+            let stop = r.is_err();
+            results.push(r);
+            if stop {
                 break;
             }
-            if data.len() != geo.wblock_bytes as usize {
-                stop_err = Some(FlashError::BadLength {
-                    expected: geo.wblock_bytes as usize,
-                    got: data.len(),
-                });
-                break;
-            }
-            let key = (addr.channel(), addr.eblock.eblock);
-            let eb = &self.blocks[key.0 as usize][key.1 as usize];
-            let programmed =
-                eb.programmed_wblocks() + frontier.get(&key).copied().unwrap_or(0);
-            if let Err(check) = check_program_rules(eb.is_poisoned(), programmed, &geo, addr.wblock)
-            {
-                stop_err = Some(check.into_error(*addr));
-                break;
-            }
-            if let Err(e) = self.tick_power_budget() {
-                stop_err = Some(e);
-                break;
-            }
-            let fail = self.faults.should_fail(*addr);
-            per_ch[key.0 as usize].push(ChannelCmd::Program {
-                idx: i,
-                at: *addr,
-                data: data.clone(),
-                tag: Bytes::new(),
-                fail,
-            });
-            attempted = i + 1;
-            if fail {
-                // The failing program executes (charges time, poisons) but
-                // nothing after it is attempted — and no further fault
-                // ordinals are consumed — exactly like a serial caller
-                // stopping at ProgramFailed.
-                stop_err = Some(FlashError::ProgramFailed(*addr));
-                break;
-            }
-            *frontier.entry(key).or_insert(0) += 1;
-        }
-        let outs = self.run_batch(&per_ch, attempted);
-        let mut results = Vec::with_capacity(attempted + 1);
-        let failed_last = matches!(stop_err, Some(FlashError::ProgramFailed(_)));
-        for (i, out) in outs.iter().enumerate().take(attempted) {
-            if failed_last && i + 1 == attempted {
-                results.push(Err(stop_err.take().expect("program failure recorded")));
-            } else {
-                results.push(Ok(out.done_at));
-            }
-        }
-        if let Some(e) = stop_err {
-            results.push(Err(e));
         }
         results
     }
 
-    /// Erase a batch of EBLOCKs with deferred completion. Endurance and
-    /// the power budget are checked on the calling thread in input order
-    /// with first-error truncation (like [`FlashDevice::erase`] in a loop
-    /// that stops on error); the erases then execute per channel under the
-    /// configured [`ExecMode`]. Returns one result per processed command.
+    /// Erase a batch of EBLOCKs with deferred completion: a loop of
+    /// [`FlashDevice::erase`] calls in input order that stops at the first
+    /// error. Returns one result per processed command.
     pub fn erase_batch(&mut self, addrs: &[EblockAddr]) -> Vec<Result<Nanos>> {
-        match addrs {
-            [] => Vec::new(),
-            [a] => vec![self.erase(*a)],
-            _ => self.erase_batch_inner(addrs),
-        }
-    }
-
-    fn erase_batch_inner(&mut self, addrs: &[EblockAddr]) -> Vec<Result<Nanos>> {
-        let geo = self.geo;
-        let mut per_ch: Vec<Vec<ChannelCmd>> = vec![Vec::new(); geo.channels as usize];
-        // Virtual erase counts: earlier erases of the same EBLOCK in this
-        // batch count against the endurance limit of later ones.
-        let mut extra: HashMap<(u32, u32), u32> = HashMap::new();
-        let mut stop_err: Option<FlashError> = None;
-        let mut attempted = 0usize;
-        for (i, a) in addrs.iter().enumerate() {
-            if !a.in_bounds(&geo) {
-                stop_err = Some(FlashError::OutOfBounds);
+        let mut results = Vec::with_capacity(addrs.len());
+        for a in addrs {
+            let r = self.erase(*a);
+            let stop = r.is_err();
+            results.push(r);
+            if stop {
                 break;
             }
-            let key = (a.channel, a.eblock);
-            let count = self.blocks[key.0 as usize][key.1 as usize].erase_count()
-                + extra.get(&key).copied().unwrap_or(0);
-            if count >= self.endurance {
-                stop_err = Some(FlashError::WornOut(*a));
-                break;
-            }
-            if let Err(e) = self.tick_power_budget() {
-                stop_err = Some(e);
-                break;
-            }
-            per_ch[key.0 as usize].push(ChannelCmd::Erase {
-                idx: i,
-                eblock: a.eblock,
-            });
-            *extra.entry(key).or_insert(0) += 1;
-            attempted = i + 1;
-        }
-        let outs = self.run_batch(&per_ch, attempted);
-        let mut results: Vec<Result<Nanos>> = outs
-            .iter()
-            .take(attempted)
-            .map(|o| Ok(o.done_at))
-            .collect();
-        if let Some(e) = stop_err {
-            results.push(Err(e));
         }
         results
-    }
-
-    /// Execute pre-resolved per-channel command lists on the configured
-    /// engine and merge the per-channel deltas back — ascending channel
-    /// order, order-independent sums — so the global stats, ledger and
-    /// clock end up byte-identical to per-op serial accounting. Ledger
-    /// charges are batched: one `charge_flash` per (channel, op) per batch
-    /// instead of one per command.
-    fn run_batch(&mut self, per_ch: &[Vec<ChannelCmd>], n_outs: usize) -> Vec<crate::exec::CmdOut> {
-        let epc = self.geo.eblocks_per_channel as usize;
-        let mut shards = Vec::with_capacity(per_ch.len());
-        for ch in 0..per_ch.len() {
-            let wear = &mut self.wear[ch * epc..(ch + 1) * epc];
-            shards.push(ChannelShard {
-                eblocks: self.blocks[ch].as_mut_ptr(),
-                n_eblocks: self.blocks[ch].len(),
-                wear: wear.as_mut_ptr(),
-                free_at: self.clock.channel_free_raw(ch as u32),
-                delta: ChannelDelta::default(),
-            });
-        }
-        let (shards, outs) = self.exec.run(
-            self.geo,
-            self.profile,
-            self.clock.now(),
-            per_ch,
-            shards,
-            n_outs,
-        );
-        for (ch, shard) in shards.iter().enumerate() {
-            if per_ch[ch].is_empty() {
-                continue;
-            }
-            let d = &shard.delta;
-            self.stats.channel_busy_ns[ch] += d.busy_ns;
-            for op in FlashOp::ALL {
-                let ns = d.op_ns[op.index()];
-                if ns > 0 {
-                    self.telemetry.charge_flash(ch as u32, op, ns);
-                }
-            }
-            self.clock.set_channel_free(ch as u32, shard.free_at);
-            self.stats.programs += d.programs;
-            self.stats.program_failures += d.program_failures;
-            self.stats.bytes_programmed += d.bytes_programmed;
-            self.stats.rblock_reads += d.rblock_reads;
-            self.stats.bytes_read += d.bytes_read;
-            self.stats.erases += d.erases;
-        }
-        outs
     }
 
     /// Read whole WBLOCKs `[first, first + count)` of an EBLOCK. A
@@ -970,12 +770,11 @@ mod tests {
         }
     }
 
-    /// A mixed workload driven through the batch APIs, used to compare
-    /// execution modes: programs across channels, overlapped reads, a
-    /// couple of erases, with interleaved CPU charges.
-    fn drive_batches(d: &mut FlashDevice) -> Vec<String> {
+    /// A mixed workload driven through the batch APIs, compared against the
+    /// same workload issued per op: programs across channels, overlapped
+    /// reads, a couple of erases, with interleaved CPU charges.
+    fn drive_batches(d: &mut FlashDevice) {
         let geo = *d.geometry();
-        let mut log = Vec::new();
         // Round 1: program two WBLOCKs on every channel.
         let mut cmds = Vec::new();
         for ch in 0..geo.channels {
@@ -986,9 +785,7 @@ mod tests {
                 ));
             }
         }
-        for r in d.program_batch(&cmds) {
-            log.push(format!("{r:?}"));
-        }
+        assert!(d.program_batch(&cmds).iter().all(|r| r.is_ok()));
         d.cpu(100);
         // Round 2: batched reads back, input order channel-descending.
         let exts: Vec<ByteExtent> = (0..geo.channels)
@@ -1003,20 +800,14 @@ mod tests {
             .collect();
         let res = d.read_extents_async(&exts).unwrap();
         let tickets: Vec<IoTicket> = res.iter().map(|r| r.1).collect();
-        for (bytes, t) in &res {
-            log.push(format!("{:x}:{}:{}", bytes.iter().fold(0u64, |h, &b| h.wrapping_mul(31).wrapping_add(b as u64)), t.channel, t.done_at));
-        }
         d.clock_mut().wait_all(&tickets);
         // Round 3: erase half the touched EBLOCKs.
         let victims: Vec<EblockAddr> = (0..geo.channels)
             .step_by(2)
             .map(|ch| EblockAddr::new(ch, ch % geo.eblocks_per_channel))
             .collect();
-        for r in d.erase_batch(&victims) {
-            log.push(format!("{r:?}"));
-        }
+        assert!(d.erase_batch(&victims).iter().all(|r| r.is_ok()));
         d.clock_mut().drain();
-        log
     }
 
     #[test]
@@ -1061,53 +852,36 @@ mod tests {
     }
 
     #[test]
-    fn parallel_exec_is_byte_identical_to_serial() {
-        for threads in [1, 2, 3, 8] {
-            let mut serial = dev();
-            let serial_log = drive_batches(&mut serial);
-            let mut parallel = dev();
-            parallel.set_exec_mode(ExecMode::Parallel { threads });
-            let parallel_log = drive_batches(&mut parallel);
-            assert_eq!(serial_log, parallel_log, "{threads} threads");
-            assert_devices_identical(&serial, &parallel);
-            assert_eq!(parallel.exec_mode(), ExecMode::Parallel { threads: threads.max(1) });
-        }
-    }
-
-    #[test]
     fn program_batch_fault_truncates_like_serial_caller() {
-        for mode in [ExecMode::Serial, ExecMode::Parallel { threads: 4 }] {
-            let mut d = FlashDevice::new(Geometry::tiny(), CostProfile::unit())
-                .with_faults(FaultInjector::script([3]));
-            d.set_exec_mode(mode);
-            let geo = *d.geometry();
-            // Five programs across two channels; fault ordinal 3 (the
-            // fourth attempted program, ordinals are 0-based) fails and
-            // truncates the batch.
-            let cmds: Vec<(WblockAddr, Bytes)> = (0..5)
-                .map(|i| {
-                    (
-                        WblockAddr::new(i % 2, 0, i / 2),
-                        Bytes::from(wb(&geo, i as u8 + 1)),
-                    )
-                })
-                .collect();
-            let rs = d.program_batch(&cmds);
-            assert_eq!(rs.len(), 4, "{mode:?}");
-            assert!(rs[..3].iter().all(|r| r.is_ok()));
-            assert!(matches!(rs[3], Err(FlashError::ProgramFailed(a)) if a == cmds[3].0));
-            // The failed program poisoned its EBLOCK and charged time; the
-            // command after it was never attempted.
-            assert!(d.is_poisoned(EblockAddr::new(1, 0)).unwrap());
-            assert_eq!(d.stats().programs, 3);
-            assert_eq!(d.stats().program_failures, 1);
-            assert_eq!(d.programmed_wblocks(EblockAddr::new(0, 0)).unwrap(), 2);
-            assert_eq!(d.programmed_wblocks(EblockAddr::new(1, 0)).unwrap(), 1);
-            // Fault ordinals after the failure were not consumed: the next
-            // program is ordinal 4 and succeeds.
-            d.erase(EblockAddr::new(1, 0)).unwrap();
-            d.program(WblockAddr::new(1, 0, 0), wb(&geo, 9), &[]).unwrap();
-        }
+        let mut d = FlashDevice::new(Geometry::tiny(), CostProfile::unit())
+            .with_faults(FaultInjector::script([3]));
+        let geo = *d.geometry();
+        // Five programs across two channels; fault ordinal 3 (the fourth
+        // attempted program, ordinals are 0-based) fails and truncates the
+        // batch.
+        let cmds: Vec<(WblockAddr, Bytes)> = (0..5)
+            .map(|i| {
+                (
+                    WblockAddr::new(i % 2, 0, i / 2),
+                    Bytes::from(wb(&geo, i as u8 + 1)),
+                )
+            })
+            .collect();
+        let rs = d.program_batch(&cmds);
+        assert_eq!(rs.len(), 4);
+        assert!(rs[..3].iter().all(|r| r.is_ok()));
+        assert!(matches!(rs[3], Err(FlashError::ProgramFailed(a)) if a == cmds[3].0));
+        // The failed program poisoned its EBLOCK and charged time; the
+        // command after it was never attempted.
+        assert!(d.is_poisoned(EblockAddr::new(1, 0)).unwrap());
+        assert_eq!(d.stats().programs, 3);
+        assert_eq!(d.stats().program_failures, 1);
+        assert_eq!(d.programmed_wblocks(EblockAddr::new(0, 0)).unwrap(), 2);
+        assert_eq!(d.programmed_wblocks(EblockAddr::new(1, 0)).unwrap(), 1);
+        // Fault ordinals after the failure were not consumed: the next
+        // program is ordinal 4 and succeeds.
+        d.erase(EblockAddr::new(1, 0)).unwrap();
+        d.program(WblockAddr::new(1, 0, 0), wb(&geo, 9), &[]).unwrap();
     }
 
     #[test]

@@ -57,7 +57,22 @@ impl EblockSim {
         geo: &Geometry,
         wblock: u32,
     ) -> std::result::Result<(), ProgramCheck> {
-        check_program_rules(self.poisoned, self.programmed_wblocks(), geo, wblock)
+        let programmed = self.programmed_wblocks();
+        if self.poisoned {
+            return Err(ProgramCheck::Poisoned);
+        }
+        if programmed >= geo.wblocks_per_eblock {
+            return Err(ProgramCheck::Full);
+        }
+        if wblock < programmed {
+            return Err(ProgramCheck::Rewrite);
+        }
+        if wblock != programmed {
+            return Err(ProgramCheck::OutOfOrder {
+                expected: programmed,
+            });
+        }
+        Ok(())
     }
 
     /// Commit a successful program of `wblock` (already validated): adopt
@@ -130,34 +145,6 @@ impl EblockSim {
         self.poisoned = false;
         self.erase_count += 1;
     }
-}
-
-/// The NAND programming rules as a pure function of `(poisoned, programmed
-/// frontier)`, shared by [`EblockSim::check_programmable`] and the batch
-/// execution engine's pre-pass (which validates against a *virtual*
-/// frontier that includes earlier programs of the same batch, before any
-/// of them has been applied).
-pub(crate) fn check_program_rules(
-    poisoned: bool,
-    programmed: u32,
-    geo: &Geometry,
-    wblock: u32,
-) -> std::result::Result<(), ProgramCheck> {
-    if poisoned {
-        return Err(ProgramCheck::Poisoned);
-    }
-    if programmed >= geo.wblocks_per_eblock {
-        return Err(ProgramCheck::Full);
-    }
-    if wblock < programmed {
-        return Err(ProgramCheck::Rewrite);
-    }
-    if wblock != programmed {
-        return Err(ProgramCheck::OutOfOrder {
-            expected: programmed,
-        });
-    }
-    Ok(())
 }
 
 /// Internal programming-rule verdicts, converted to [`FlashError`] by the

@@ -20,13 +20,14 @@
 //! calibrated [`CostProfile`]s reproduce the paper's two hardware
 //! configurations.
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod clock;
 pub mod cost;
 pub mod device;
 mod eblock;
 pub mod error;
-pub mod exec;
 pub mod fault;
 pub mod geometry;
 pub mod stats;
@@ -36,7 +37,6 @@ pub use clock::{IoTicket, Nanos, SimClock};
 pub use cost::{packets_for, CostProfile, PACKET_PAYLOAD_BYTES};
 pub use device::FlashDevice;
 pub use error::{FlashError, Result};
-pub use exec::ExecMode;
 pub use fault::FaultInjector;
 pub use geometry::{Geometry, TAG_BYTES_PER_RBLOCK};
 pub use stats::FlashStats;

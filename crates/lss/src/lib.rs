@@ -18,6 +18,8 @@
 //! 16-byte header (`magic, payload_len, page_id`) plus up to 4080 payload
 //! bytes.
 
+#![forbid(unsafe_code)]
+
 pub mod store;
 
 pub use store::{LogStore, LssConfig, LssError, LssStats, MAX_PAYLOAD};

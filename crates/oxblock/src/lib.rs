@@ -19,6 +19,8 @@
 //! faithfully pays the I/O and CPU costs of per-context commit records but
 //! does not implement crash recovery of its page map.
 
+#![forbid(unsafe_code)]
+
 pub mod ftl;
 pub mod map;
 

@@ -21,6 +21,8 @@
 //! The server is generic over [`eleos::Controller`], so the same binary
 //! logic fronts a single controller or the sharded array.
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod client;
 pub mod engine;

@@ -19,6 +19,8 @@
 //! * [`Telemetry`] — the per-device container holding all of the above
 //!   plus the *current activity* used to attribute charges.
 
+#![forbid(unsafe_code)]
+
 mod hist;
 mod ledger;
 mod ring;

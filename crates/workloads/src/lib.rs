@@ -16,6 +16,8 @@
 //!   with skewed per-client rates, feeding the host front-end
 //!   (DESIGN.md §11).
 
+#![forbid(unsafe_code)]
+
 pub mod compress;
 pub mod multi_client;
 pub mod tpcc;

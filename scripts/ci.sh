@@ -30,21 +30,11 @@ echo "== crash sweep (every flash-command ordinal, shadow oracle) =="
 # commands; the sweep crashes after each one (~seconds in release).
 cargo test -q --release -p eleos --test crash_sweep
 
-echo "== crash sweep under parallel execution (4 worker threads) =="
-# Same sweep, batched flash commands on 4 per-channel workers: a power
-# cut must truncate the command stream identically in both modes.
-ELEOS_EXEC_THREADS=4 cargo test -q --release -p eleos --test crash_sweep
-
 echo "== sharded crash sweep (2 shards, cross-shard 2PC atomicity) =="
 # Every mutating flash ordinal on each shard in turn becomes that shard's
 # last command; a group Prepared on one shard but not coordinator-
 # committed must roll back everywhere, a committed one must redo.
 cargo test -q --release -p eleos --test crash_sweep_sharded
-
-echo "== parallel-vs-serial equivalence (byte-identical snapshots) =="
-# Fixed-seed smoke plus the 12-case proptest: ExecMode::Parallel runs
-# must produce byte-identical op results and snapshot JSON vs Serial.
-cargo test -q --release -p eleos --test parallel_equivalence
 
 echo "== mapping-cache equivalence (demand paging vs memory resident) =="
 # The flash-resident mapping gates (DESIGN.md §15): tiny LRU / tiny CLOCK
@@ -120,11 +110,11 @@ grep -q '"conservation_ok":true' "$telemetry_json" \
   || { echo "telemetry gate: conservation_ok is not true" >&2; exit 1; }
 
 echo "== bench schema gate (host_threads/shards/mapping/gc keys) =="
-# Every committed trajectory entry written since execution modes exist
-# labels its wall-clock measurement with the worker-thread count, since
-# the sharded router with its shard count, and since the demand-paged
-# mapping with its cache bound and GC policy; the parser defaults
-# pre-existing entries (1 thread, 1 shard, unbounded map, paper policy).
+# Committed trajectory entries label their wall-clock measurement with
+# the host thread count, since the sharded router with its shard count,
+# and since the demand-paged mapping with its cache bound and GC policy;
+# the parser defaults pre-existing entries (1 thread, 1 shard, unbounded
+# map, paper policy).
 for key in host_threads shards mapping_cache_pages gc_policy net_clients; do
   grep -q "\"$key\"" BENCH_controller.json \
     || { echo "bench schema gate: BENCH_controller.json has no $key key" >&2; exit 1; }

@@ -16,6 +16,8 @@
 //! `eleos-bench` crate for the binaries that regenerate every table and
 //! figure of the paper.
 
+#![forbid(unsafe_code)]
+
 pub use eleos;
 pub use eleos_bwtree as bwtree;
 pub use eleos_flash as flash;
