@@ -1937,21 +1937,20 @@ impl Eleos {
         Ok(valid)
     }
 
-    /// Validity scan with deferred completion: each valid entry's data read
-    /// is submitted as soon as the entry is identified (interleaved with
-    /// the lookups, so mapping faults keep their serial order), and the
-    /// outstanding tickets are returned instead of waited on. Callers
-    /// collecting several EBLOCKs batch the tickets so reads on distinct
-    /// channels overlap. With `defer_io` off every read waits in place and
-    /// the returned ticket list is empty.
+    /// Validity scan with deferred completion. The lookups run first, all
+    /// of them, so mapping faults keep their serial order; the valid
+    /// entries' data is then read as RBLOCK runs
+    /// ([`crate::gc::read_in_rblock_runs`]), so an RBLOCK shared by several
+    /// live LPAGEs is read once. The run tickets are returned instead of
+    /// waited on: callers collecting several EBLOCKs batch them so reads on
+    /// distinct channels overlap. With `defer_io` off the scan waits on its
+    /// runs and the returned ticket list is empty.
     pub(crate) fn scan_valid_pages_submit(
         &mut self,
         eb: EblockAddr,
         meta: &[(PageKind, Lpid)],
     ) -> Result<(Vec<ActionPage>, Vec<IoTicket>)> {
-        let defer = self.cfg.defer_io;
-        let mut valid_rev: Vec<ActionPage> = Vec::new();
-        let mut tickets: Vec<IoTicket> = Vec::new();
+        let mut found: Vec<(Lpid, PageKind, u64, ByteExtent)> = Vec::new();
         let mut seen: std::collections::HashSet<Lpid> = std::collections::HashSet::new();
         for &(kind, lpid) in meta.iter().rev() {
             if !seen.insert(lpid) {
@@ -1964,24 +1963,26 @@ impl Eleos {
             if addr.eblock_addr() != eb {
                 continue;
             }
-            let (bytes, t) = self.dev.read_extent(addr.extent())?;
-            if defer {
-                tickets.push(IoTicket {
-                    channel: eb.channel,
-                    done_at: t,
-                });
-            } else {
-                self.dev.clock_mut().wait_until(t);
-            }
-            valid_rev.push(ActionPage {
+            found.push((lpid, kind, packed, addr.extent()));
+        }
+        found.reverse(); // restore oldest-to-newest write order
+        let exts: Vec<ByteExtent> = found.iter().map(|f| f.3).collect();
+        let (pages, mut tickets) = crate::gc::read_in_rblock_runs(&mut self.dev, &exts)?;
+        if !self.cfg.defer_io {
+            self.dev.clock_mut().wait_all(&tickets);
+            tickets.clear();
+        }
+        let valid = found
+            .into_iter()
+            .zip(pages)
+            .map(|((lpid, kind, old_addr, _), bytes)| ActionPage {
                 lpid,
                 kind,
                 bytes,
-                old_addr: packed,
-            });
-        }
-        valid_rev.reverse(); // restore oldest-to-newest write order
-        Ok((valid_rev, tickets))
+                old_addr,
+            })
+            .collect();
+        Ok((valid, tickets))
     }
 
     /// Erase an EBLOCK, reset its descriptor and return it to the free

@@ -4,9 +4,10 @@
 //! configured watermark. Victims are chosen by the min-cost-decline score
 //! (1 − E) / (E² · age) — smallest first; log EBLOCKs are reclaimed
 //! separately by truncation ("no data movement is needed"). Valid LPAGEs of
-//! a victim are identified by the newest-to-oldest monotonic scan over its
-//! persisted metadata (Fig. 6) and moved through the ordinary system-action
-//! write path with conditional installs.
+//! a victim are identified by a newest-to-oldest scan over its persisted
+//! metadata (Fig. 6) that deduplicates LPIDs with a seen-set, read as RBLOCK
+//! runs so each covered RBLOCK is read once, and moved through the ordinary
+//! system-action write path with conditional installs.
 
 use crate::config::GcPolicy;
 use crate::controller::{ActionPage, Dest, Eleos};
@@ -14,11 +15,80 @@ use crate::error::{EleosError, Result};
 use crate::provision::decode_eblock_meta;
 use crate::summary::{EblockDesc, EblockPurpose, EblockState};
 use crate::types::{ActionKind, Lpid, PageKind, Usn};
-use eleos_flash::{Activity, ByteExtent, EblockAddr, IoTicket, SpanKind};
+use bytes::Bytes;
+use eleos_flash::{Activity, ByteExtent, EblockAddr, FlashDevice, Geometry, IoTicket, SpanKind};
 
 /// One victim readied for relocation: its address, birth timestamp, and
 /// the (kind, lpid) entries decoded from its persisted metadata.
 type VictimPrep = (EblockAddr, Usn, Vec<(PageKind, Lpid)>);
+
+/// Read extents of one EBLOCK with each covered RBLOCK read once (Section
+/// V: the device reads whole RBLOCKs). The extents are covered by RBLOCK
+/// runs ([`rblock_runs`]), the runs are submitted through
+/// [`FlashDevice::read_extents_async`], and each extent is sliced out of its
+/// run. Returns the extents' bytes in input order and the runs' tickets,
+/// not yet waited on.
+pub(crate) fn read_in_rblock_runs(
+    dev: &mut FlashDevice,
+    exts: &[ByteExtent],
+) -> Result<(Vec<Bytes>, Vec<IoTicket>)> {
+    let mut sorted = exts.to_vec();
+    sorted.sort_unstable_by_key(|e| e.offset);
+    let runs = rblock_runs(&sorted, dev.geometry());
+    let (data, tickets): (Vec<Bytes>, Vec<IoTicket>) =
+        dev.read_extents_async(&runs)?.into_iter().unzip();
+    let bytes = exts.iter().map(|e| slice_runs(&runs, &data, *e)).collect();
+    Ok((bytes, tickets))
+}
+
+/// Cover `sorted` (extents of one EBLOCK, ascending offset) with RBLOCK
+/// runs: each extent is rounded out to whole RBLOCKs, touching or
+/// overlapping ranges merge, and runs split at WBLOCK boundaries. The split
+/// costs no RBLOCK read (WBLOCKs are RBLOCK-aligned) and keeps every run
+/// inside one stored WBLOCK, so reading it is a zero-copy view.
+fn rblock_runs(sorted: &[ByteExtent], geo: &Geometry) -> Vec<ByteExtent> {
+    let (rb, wb) = (geo.rblock_bytes as u64, geo.wblock_bytes as u64);
+    let mut runs: Vec<ByteExtent> = Vec::new();
+    for e in sorted {
+        debug_assert_eq!(e.eblock, sorted[0].eblock, "runs are per EBLOCK");
+        let mut lo = e.offset / rb * rb;
+        let hi = e.end().div_ceil(rb) * rb;
+        while lo < hi {
+            let end = hi.min((lo / wb + 1) * wb);
+            match runs.last_mut() {
+                Some(r) if lo <= r.end() && lo / wb == r.offset / wb => {
+                    r.len = r.len.max(end - r.offset);
+                }
+                _ => runs.push(ByteExtent::new(e.eblock, lo, end - lo)),
+            }
+            lo = end;
+        }
+    }
+    runs
+}
+
+/// The bytes of `ext` out of the `runs` read for it (`data[k]` holds
+/// `runs[k]`): a zero-copy slice when it lies in one run, else the
+/// concatenation of its slices of consecutive runs — a page spanning
+/// WBLOCKs, the same copy a spanning [`FlashDevice::read_extent`] makes.
+fn slice_runs(runs: &[ByteExtent], data: &[Bytes], ext: ByteExtent) -> Bytes {
+    let mut k = runs.partition_point(|r| r.end() <= ext.offset);
+    let r = runs[k];
+    if ext.end() <= r.end() {
+        let lo = (ext.offset - r.offset) as usize;
+        return data[k].slice(lo..lo + ext.len as usize);
+    }
+    let mut out = Vec::with_capacity(ext.len as usize);
+    let mut at = ext.offset;
+    while at < ext.end() {
+        let r = runs[k];
+        let hi = ext.end().min(r.end());
+        out.extend_from_slice(&data[k][(at - r.offset) as usize..(hi - r.offset) as usize]);
+        at = hi;
+        k += 1;
+    }
+    Bytes::from(out)
+}
 
 impl Eleos {
     /// Trigger GC on any channel below the free-space watermark
@@ -216,7 +286,7 @@ impl Eleos {
 
     /// Collect one victim per channel in a single overlapped round:
     /// metadata reads are submitted channel-major and retired together,
-    /// each victim's valid-page reads are submitted as they are identified
+    /// each victim's valid-page RBLOCK runs are submitted after its scan
     /// and retired with one collective wait, relocation actions defer their
     /// durability wait to a shared horizon, and the final erases overlap.
     /// A single victim degenerates to [`Eleos::collect_eblock`]'s blocking
@@ -272,8 +342,8 @@ impl Eleos {
             };
             preps.push((victim, ts, m.entries));
         }
-        // Phase 2: validity scans; data reads submitted per victim, one
-        // collective wait so victim channels overlap.
+        // Phase 2: validity scans; RBLOCK-run reads submitted per victim,
+        // one collective wait so victim channels overlap.
         let mut scans: Vec<Vec<ActionPage>> = Vec::with_capacity(preps.len());
         let mut pending: Vec<IoTicket> = Vec::new();
         for (victim, _, entries) in &preps {
@@ -553,5 +623,119 @@ impl Eleos {
             }
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::batch::WriteBatch;
+    use crate::config::{EleosConfig, PageMode};
+    use crate::controller::WriteOpts;
+    use crate::phys::PhysAddr;
+    use eleos_flash::CostProfile;
+    use std::collections::BTreeMap;
+
+    fn payload(lpid: Lpid, len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u64 ^ lpid.wrapping_mul(131)) as u8)
+            .collect()
+    }
+
+    /// A victim whose live LPAGEs share RBLOCKs, one of which spans three
+    /// WBLOCKs, with dead RBLOCKs between them: the scan returns every page
+    /// byte-equal to a per-page read and reads each covered RBLOCK once.
+    #[test]
+    fn validity_scan_reads_each_covered_rblock_once() {
+        // One channel, so the batch lands in one EBLOCK in batch order.
+        let geo = Geometry {
+            channels: 1,
+            ..Geometry::tiny()
+        };
+        let cfg = EleosConfig {
+            max_user_lpid: 256,
+            ckpt_log_bytes: u64::MAX,
+            ..Default::default()
+        };
+        let mut ssd = Eleos::format(FlashDevice::new(geo, CostProfile::unit()), cfg).unwrap();
+        let mut batch = WriteBatch::new(PageMode::Variable);
+        for lpid in 0..60 {
+            let len = if lpid == 40 {
+                36 * 1024
+            } else {
+                500 + 37 * lpid as usize
+            };
+            batch.put(lpid, &payload(lpid, len)).unwrap();
+        }
+        ssd.write(&batch, WriteOpts::default()).unwrap();
+        // Dead RBLOCKs: a stretch of ~11 KB of LPAGEs becomes garbage.
+        ssd.delete_batch(&(12..24).collect::<Vec<_>>()).unwrap();
+
+        let eb = ssd.lpid_location(0).unwrap().unwrap().eblock_addr();
+        let open = ssd.chans[0].user_open.as_ref().unwrap();
+        assert_eq!(open.addr, eb, "the batch's EBLOCK is still open");
+        let meta = open.meta.clone();
+
+        let reads0 = ssd.dev.stats().rblock_reads;
+        let valid = ssd.scan_valid_pages(eb, &meta).unwrap();
+        let run_reads = ssd.dev.stats().rblock_reads - reads0;
+
+        let live: Vec<Lpid> = (0..12).chain(24..60).collect();
+        let user = valid.iter().filter(|p| p.kind == PageKind::User);
+        assert_eq!(user.map(|p| p.lpid).collect::<Vec<_>>(), live);
+        let (rb, wb) = (geo.rblock_bytes as u64, geo.wblock_bytes as u64);
+        let mut pages_per_rblock: BTreeMap<u64, usize> = BTreeMap::new();
+        let mut per_page_rblocks = 0u64;
+        let mut spans_wblocks = 0;
+        for p in &valid {
+            let ext = PhysAddr::unpack(p.old_addr).unwrap().extent();
+            let (bytes, _) = ssd.dev.read_extent(ext).unwrap();
+            assert_eq!(p.bytes, bytes, "lpid {}", p.lpid);
+            for r in ext.offset / rb..=(ext.end() - 1) / rb {
+                *pages_per_rblock.entry(r).or_default() += 1;
+            }
+            per_page_rblocks += ext.rblock_count(&geo) as u64;
+            spans_wblocks += (ext.offset / wb != (ext.end() - 1) / wb) as usize;
+        }
+        // The layout has what the test is about.
+        assert!(pages_per_rblock.values().any(|&n| n >= 3));
+        assert!(spans_wblocks >= 2, "the 36 KB page and a packed neighbour");
+        let (first, last) = (
+            *pages_per_rblock.keys().next().unwrap(),
+            *pages_per_rblock.keys().next_back().unwrap(),
+        );
+        assert!(
+            pages_per_rblock.len() < (last - first + 1) as usize,
+            "a dead RBLOCK gap"
+        );
+        // Each covered RBLOCK read once, where per-page reads repeat them.
+        assert_eq!(run_reads, pages_per_rblock.len() as u64);
+        assert!(run_reads < per_page_rblocks);
+    }
+
+    #[test]
+    fn runs_merge_touching_rblocks_and_split_at_wblocks() {
+        let geo = Geometry::tiny(); // 4 KB RBLOCKs, 16 KB WBLOCKs
+        let eb = EblockAddr::new(0, 3);
+        let ext = |offset, len| ByteExtent::new(eb, offset, len);
+        let pages = [
+            ext(0, 1024),
+            ext(1024, 1024),
+            ext(3072, 2048),   // RBLOCKs 0-1: overlaps the run
+            ext(8192, 64),     // RBLOCK 2: touches it
+            ext(14_336, 4096), // RBLOCKs 3-4: crosses the WBLOCK boundary
+            ext(28_672, 64),   // RBLOCK 7, after dead RBLOCKs 5-6
+        ];
+        let runs = rblock_runs(&pages, &geo);
+        assert_eq!(
+            runs,
+            vec![ext(0, 16_384), ext(16_384, 4096), ext(28_672, 4096)]
+        );
+        let byte = |at: u64| (at / 64) as u8;
+        let bytes = |e: &ByteExtent| (e.offset..e.end()).map(byte).collect::<Vec<u8>>();
+        let data: Vec<Bytes> = runs.iter().map(|r| bytes(r).into()).collect();
+        for p in pages {
+            assert_eq!(slice_runs(&runs, &data, p), bytes(&p));
+        }
     }
 }

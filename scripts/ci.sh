@@ -7,9 +7,9 @@
 # monotonic shard scaling, sharded refinement proptest), bounded
 # chaos-soak smokes (fault-injected differential oracle, single-client,
 # multi-client and sharded), the wire-server gates (loopback e2e, frame
-# fuzz, killed-connection sweep, session WSN redo, net chaos smoke), then
-# the wall-clock perf smoke gate against the committed
-# BENCH_controller.json.
+# fuzz, killed-connection sweep, session WSN redo, net chaos smoke), the
+# benchmark package's smoke-scale oracle, then the wall-clock perf smoke
+# gate against the committed BENCH_controller.json.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -90,6 +90,11 @@ echo "== net chaos smoke (killed conns, partial frames, slow readers) =="
 # Randomized wire-level chaos against the loopback server plus a bounded
 # kill-at-every-ordinal sweep, audited by the differential oracle.
 cargo run --release -p eleos-bench --bin chaos -- --net --seeds 3 --kill-sweep 8 --shards 2
+
+echo "== benchmark smoke oracle (six workloads, read-back + crash/recover) =="
+# The benchmark package (BENCHMARK.json) at smoke scale: every workload
+# reads back byte for byte, crashes, recovers and reads back again.
+cargo test -q --manifest-path benchmark/Cargo.toml
 
 echo "== telemetry gate (snapshot schema + conservation) =="
 # perfbench --telemetry-out runs a small mixed scenario, enforces the
