@@ -153,7 +153,11 @@ fn jobs() -> Vec<Job> {
                  rounds (one victim per needy channel, collected together) \
                  and batched reads; the read columns issue identical op/byte \
                  counts, the GC columns the same selection policy in \
-                 round-robin order. Figures that exercise this: Fig. 10c and \
+                 round-robin order. The deferred GC column also relocates \
+                 each round's victims in one system action (one context and \
+                 one commit force per round, not per victim), so part of its \
+                 speedup is controller CPU saved rather than channel overlap. \
+                 Figures that exercise this: Fig. 10c and \
                  the GC-policy/hot-cold ablations (collector overlap), Fig. \
                  10a read misses via `read_batch` (read overlap); Fig. 9 and \
                  Table II are write-path-bound and already overlapped by \

@@ -159,7 +159,7 @@ impl Eleos {
         let attempts = self.cfg.ckpt_retry_attempts.max(1);
         for attempt in 1..=attempts {
             let pages = build(self)?;
-            match self.run_action(ActionKind::Ckpt, &[], &pages, Dest::User) {
+            match self.run_action(ActionKind::Ckpt, &pages, Dest::User) {
                 Ok(_) => return Ok(()),
                 Err(EleosError::ActionAborted) if attempt < attempts => {
                     self.stats.action_retries += 1;
@@ -214,7 +214,7 @@ impl Eleos {
                     }
                 })
                 .collect();
-            match self.run_action(ActionKind::Ckpt, &[], &summary_pages, Dest::User) {
+            match self.run_action(ActionKind::Ckpt, &summary_pages, Dest::User) {
                 Ok(_) => return Ok(()),
                 Err(e) => {
                     for &(p, rec) in &pre_rec_lsns {
@@ -293,7 +293,7 @@ impl Eleos {
                     self.force_close_now(
                         ob,
                         Dest::GcBin {
-                            channel: ch as u32,
+                            victim_channel: ch as u32,
                             victim_ts,
                         },
                     )?;

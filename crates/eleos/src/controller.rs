@@ -93,10 +93,16 @@ pub(crate) enum Dest {
     /// Distribute across all channels into the user open EBLOCKs (Fig. 3
     /// "new LPAGE write"; checkpoint table writes use this too).
     User,
-    /// Write into the age-binned GC open EBLOCKs of one channel
-    /// (Section VI-B).
-    GcBin { channel: u32, victim_ts: Usn },
+    /// Write into the age-binned GC open EBLOCKs (Section VI-B) of the
+    /// victim's channel, or of the channel [`Eleos::gc_dest_channel`]
+    /// redirects to — resolved when the segment is provisioned.
+    GcBin { victim_channel: u32, victim_ts: Usn },
 }
+
+/// A contiguous run of a system action's pages and where it is
+/// provisioned. User, checkpoint and migration actions are one segment; a
+/// GC round's relocation action has one per victim, in victim order.
+pub(crate) type Segment = (std::ops::Range<usize>, Dest);
 
 /// Result of a committed system action.
 #[derive(Debug, Clone, Copy)]
@@ -516,7 +522,8 @@ impl Eleos {
             })
             .collect();
         self.maybe_gc()?;
-        let res = self.run_action_inner(ActionKind::User, advances, &pages, Dest::User, wait_durable)?;
+        let segs = [(0..pages.len(), Dest::User)];
+        let res = self.run_action_inner(ActionKind::User, advances, &pages, &segs, wait_durable)?;
         self.stats.batches += 1;
         self.stats.lpages += pages.len() as u64;
         self.stats.payload_bytes += batch.payload_bytes()
@@ -794,7 +801,7 @@ impl Eleos {
 
         let id = self.next_action;
         self.next_action += 1;
-        let plan = self.provision(&pages, Dest::User)?;
+        let plan = self.provision(&pages, &[(0..pages.len(), Dest::User)])?;
         let mut first_lsn = 0;
         for (i, p) in pages.iter().enumerate() {
             let lsn = self.log_append(&LogRecord::Write {
@@ -1205,22 +1212,26 @@ impl Eleos {
     // The system-action engine (Section IV: init / execute / commit)
     // ------------------------------------------------------------------
 
+    /// A synchronous one-segment system action with no session advances.
     pub(crate) fn run_action(
         &mut self,
         akind: ActionKind,
-        advances: &[(Sid, Wsn)],
         pages: &[ActionPage],
         dest: Dest,
     ) -> Result<ActionResult> {
-        self.run_action_inner(akind, advances, pages, dest, true)
+        self.run_action_inner(akind, &[], pages, &[(0..pages.len(), dest)], true)
     }
 
+    /// One system action over `pages`, provisioned segment by segment
+    /// (`segs` covers `pages` in order): one context charge, one `Write`
+    /// record per page, one `Commit` and log force, the installs, one
+    /// `Done`.
     pub(crate) fn run_action_inner(
         &mut self,
         akind: ActionKind,
         advances: &[(Sid, Wsn)],
         pages: &[ActionPage],
-        dest: Dest,
+        segs: &[Segment],
         wait_durable: bool,
     ) -> Result<ActionResult> {
         if pages.is_empty() {
@@ -1237,7 +1248,7 @@ impl Eleos {
         self.next_action += 1;
 
         // ---- initialization: provisioning + I/O command generation ----
-        let plan = self.provision(pages, dest)?;
+        let plan = self.provision(pages, segs)?;
 
         // ---- initialization: log records ----
         let mut first_lsn = 0;
@@ -1447,52 +1458,69 @@ impl Eleos {
     // Write provisioning (Section IV-A1)
     // ------------------------------------------------------------------
 
-    fn provision(&mut self, pages: &[ActionPage], dest: Dest) -> Result<Plan> {
+    /// Provision every segment in order. A GC segment's destination channel
+    /// is resolved here, against the free lists the segments before it
+    /// left, as consecutive single-victim actions would resolve it.
+    fn provision(&mut self, pages: &[ActionPage], segs: &[Segment]) -> Result<Plan> {
         let mut plan = Plan {
             addrs: vec![PhysAddr::new(0, 0, 0, 0); pages.len()],
             ..Default::default()
         };
-        match dest {
-            Dest::User => {
-                // Global provisioning: partition into roughly equal chunks,
-                // respecting LPAGE boundaries (Section IV-A1). Channels are
-                // ordered by free capacity so one that GC has not yet
-                // replenished is not starved further.
-                let geo = *self.dev.geometry();
-                let mut order: Vec<u32> = (0..geo.channels).collect();
-                order.rotate_left(self.next_chan_rr as usize % geo.channels as usize);
-                order.sort_by_key(|&c| std::cmp::Reverse(self.chans[c as usize].free.len()));
-                let usable: Vec<u32> = order
-                    .iter()
-                    .copied()
-                    .filter(|&c| {
-                        let ch = &self.chans[c as usize];
-                        !ch.free.is_empty() || ch.user_open.is_some()
-                    })
-                    .collect();
-                let order = if usable.is_empty() { order } else { usable };
-                let total: u64 = pages.iter().map(|p| p.bytes.len() as u64).sum();
-                let target = (total / order.len() as u64).max(geo.wblock_bytes as u64);
-                let mut chunk_start = 0usize;
-                let mut acc = 0u64;
-                let mut chunk_no = 0usize;
-                for i in 0..pages.len() {
-                    acc += pages[i].bytes.len() as u64;
-                    if acc >= target || i + 1 == pages.len() {
-                        let channel = order[chunk_no % order.len()];
-                        self.provision_chunk(channel, pages, chunk_start..i + 1, dest, &mut plan)?;
-                        chunk_no += 1;
-                        chunk_start = i + 1;
-                        acc = 0;
-                    }
+        for (range, dest) in segs {
+            match *dest {
+                Dest::User => self.provision_user(pages, range.clone(), &mut plan)?,
+                Dest::GcBin { victim_channel, .. } => {
+                    let channel = self.gc_dest_channel(victim_channel);
+                    self.provision_chunk(channel, pages, range.clone(), *dest, &mut plan)?;
                 }
-                self.next_chan_rr = (self.next_chan_rr + 1) % geo.channels;
-            }
-            Dest::GcBin { channel, .. } => {
-                self.provision_chunk(channel, pages, 0..pages.len(), dest, &mut plan)?;
             }
         }
         Ok(plan)
+    }
+
+    /// Global provisioning: partition into roughly equal chunks, respecting
+    /// LPAGE boundaries (Section IV-A1). Channels are ordered by free
+    /// capacity so one that GC has not yet replenished is not starved
+    /// further.
+    fn provision_user(
+        &mut self,
+        pages: &[ActionPage],
+        range: std::ops::Range<usize>,
+        plan: &mut Plan,
+    ) -> Result<()> {
+        let geo = *self.dev.geometry();
+        let mut order: Vec<u32> = (0..geo.channels).collect();
+        order.rotate_left(self.next_chan_rr as usize % geo.channels as usize);
+        order.sort_by_key(|&c| std::cmp::Reverse(self.chans[c as usize].free.len()));
+        let usable: Vec<u32> = order
+            .iter()
+            .copied()
+            .filter(|&c| {
+                let ch = &self.chans[c as usize];
+                !ch.free.is_empty() || ch.user_open.is_some()
+            })
+            .collect();
+        let order = if usable.is_empty() { order } else { usable };
+        let total: u64 = pages[range.clone()]
+            .iter()
+            .map(|p| p.bytes.len() as u64)
+            .sum();
+        let target = (total / order.len() as u64).max(geo.wblock_bytes as u64);
+        let mut chunk_start = range.start;
+        let mut acc = 0u64;
+        let mut chunk_no = 0usize;
+        for i in range.clone() {
+            acc += pages[i].bytes.len() as u64;
+            if acc >= target || i + 1 == range.end {
+                let channel = order[chunk_no % order.len()];
+                self.provision_chunk(channel, pages, chunk_start..i + 1, Dest::User, plan)?;
+                chunk_no += 1;
+                chunk_start = i + 1;
+                acc = 0;
+            }
+        }
+        self.next_chan_rr = (self.next_chan_rr + 1) % geo.channels;
+        Ok(())
     }
 
     /// Channel provisioning: pack a contiguous range of pages into the
@@ -1862,10 +1890,10 @@ impl Eleos {
         if !valid.is_empty() {
             let victim_ts = self.summary.get(eb).ts;
             let dest = Dest::GcBin {
-                channel: self.gc_dest_channel(eb.channel),
+                victim_channel: eb.channel,
                 victim_ts: if victim_ts == 0 { self.usn } else { victim_ts },
             };
-            match self.run_action(ActionKind::Migrate, &[], &valid, dest) {
+            match self.run_action(ActionKind::Migrate, &valid, dest) {
                 Ok(_) => {}
                 Err(EleosError::ActionAborted) => {
                     // A nested failure already migrated the nested EBLOCK;

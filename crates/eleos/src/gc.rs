@@ -7,10 +7,11 @@
 //! a victim are identified by a newest-to-oldest scan over its persisted
 //! metadata (Fig. 6) that deduplicates LPIDs with a seen-set, read as RBLOCK
 //! runs so each covered RBLOCK is read once, and moved through the ordinary
-//! system-action write path with conditional installs.
+//! system-action write path with conditional installs — one action per GC
+//! round, however many victims the round collects.
 
 use crate::config::GcPolicy;
-use crate::controller::{ActionPage, Dest, Eleos};
+use crate::controller::{ActionPage, Dest, Eleos, Segment};
 use crate::error::{EleosError, Result};
 use crate::provision::decode_eblock_meta;
 use crate::summary::{EblockDesc, EblockPurpose, EblockState};
@@ -287,8 +288,10 @@ impl Eleos {
     /// Collect one victim per channel in a single overlapped round:
     /// metadata reads are submitted channel-major and retired together,
     /// each victim's valid-page RBLOCK runs are submitted after its scan
-    /// and retired with one collective wait, relocation actions defer their
-    /// durability wait to a shared horizon, and the final erases overlap.
+    /// and retired with one collective wait, one relocation action moves
+    /// every victim's valid pages (one context, one commit force), and the
+    /// final erases overlap. If that action aborts on a program failure, no
+    /// victim is erased: all of them keep their data for a later pass.
     /// A single victim degenerates to [`Eleos::collect_eblock`]'s blocking
     /// schedule exactly.
     pub(crate) fn collect_victims(&mut self, victims: &[EblockAddr]) -> Result<()> {
@@ -305,6 +308,10 @@ impl Eleos {
         res
     }
 
+    /// The round in four phases: (1) batched metadata reads, (2) validity
+    /// scans with one collective wait on their RBLOCK runs, (3) one
+    /// relocation action for the round, with one [`Segment`] per victim,
+    /// (4) one batched erase of every victim.
     fn collect_victims_impl(&mut self, victims: &[EblockAddr]) -> Result<()> {
         let geo = *self.dev.geometry();
         let wb = geo.wblock_bytes as u64;
@@ -352,41 +359,38 @@ impl Eleos {
             scans.push(valid);
         }
         self.dev.clock_mut().wait_all(&pending);
-        // Phase 3: relocation actions with a deferred, shared durability
-        // horizon.
-        let mut horizon = 0;
-        let mut erase_ok = vec![true; preps.len()];
-        for (i, (victim, ts, _)) in preps.iter().enumerate() {
-            let valid = std::mem::take(&mut scans[i]);
+        // Phase 3: one relocation action for the round. The victims' valid
+        // pages are concatenated in victim order, one segment per victim
+        // into that victim's own GC bin.
+        let mut pages: Vec<ActionPage> = Vec::with_capacity(scans.iter().map(Vec::len).sum());
+        let mut segs: Vec<Segment> = Vec::with_capacity(scans.len());
+        for ((victim, ts, _), valid) in preps.iter().zip(scans) {
             if valid.is_empty() {
                 continue;
             }
             self.stats.gc_moved_pages += valid.len() as u64;
             self.stats.gc_moved_bytes += valid.iter().map(|p| p.bytes.len() as u64).sum::<u64>();
+            let start = pages.len();
+            pages.extend(valid);
             let dest = Dest::GcBin {
-                channel: self.gc_dest_channel(victim.channel),
+                victim_channel: victim.channel,
                 victim_ts: *ts,
             };
-            match self.run_action_inner(ActionKind::Gc, &[], &valid, dest, false) {
-                Ok(r) => horizon = horizon.max(r.done_at),
-                Err(EleosError::ActionAborted) => {
-                    // The GC write itself hit a program failure; the victim
-                    // keeps its data and will be retried by a later pass.
-                    self.stats.gc_relocation_aborts += 1;
-                    erase_ok[i] = false;
-                }
-                Err(e) => return Err(e),
-            }
+            segs.push((start..pages.len(), dest));
         }
-        self.dev.clock_mut().wait_until(horizon);
-        // Phase 4: erase the successfully collected victims together.
-        let survivors: Vec<EblockAddr> = preps
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| erase_ok[i])
-            .map(|(_, &(victim, _, _))| victim)
-            .collect();
-        self.erase_batch(&survivors)
+        match self.run_action_inner(ActionKind::Gc, &[], &pages, &segs, false) {
+            Ok(r) => self.dev.clock_mut().wait_until(r.done_at),
+            Err(EleosError::ActionAborted) => {
+                // The round's relocation hit a program failure: every victim
+                // keeps its data and is retried by a later pass.
+                self.stats.gc_relocation_aborts += 1;
+                return Ok(());
+            }
+            Err(e) => return Err(e),
+        }
+        // Phase 4: erase the round's victims together.
+        let victims: Vec<EblockAddr> = preps.iter().map(|&(victim, _, _)| victim).collect();
+        self.erase_batch(&victims)
     }
 
     /// Pick the victim per the configured selection policy. All policies
@@ -484,10 +488,10 @@ impl Eleos {
             self.stats.gc_moved_pages += valid.len() as u64;
             self.stats.gc_moved_bytes += valid.iter().map(|p| p.bytes.len() as u64).sum::<u64>();
             let dest = Dest::GcBin {
-                channel: self.gc_dest_channel(victim.channel),
+                victim_channel: victim.channel,
                 victim_ts: d.ts,
             };
-            match self.run_action(ActionKind::Gc, &[], &valid, dest) {
+            match self.run_action(ActionKind::Gc, &valid, dest) {
                 Ok(_) => {}
                 Err(EleosError::ActionAborted) => {
                     // The GC write itself hit a program failure; the victim
@@ -630,7 +634,7 @@ impl Eleos {
 mod tests {
     use super::*;
     use crate::batch::WriteBatch;
-    use crate::config::{EleosConfig, PageMode};
+    use crate::config::{EleosConfig, GcConfig, PageMode};
     use crate::controller::WriteOpts;
     use crate::phys::PhysAddr;
     use eleos_flash::CostProfile;
@@ -711,6 +715,104 @@ mod tests {
         // Each covered RBLOCK read once, where per-page reads repeat them.
         assert_eq!(run_reads, pages_per_rblock.len() as u64);
         assert!(run_reads < per_page_rblocks);
+    }
+
+    /// Victims on distinct channels, collected by one `maybe_gc` round, are
+    /// relocated by one system action: one commit and one log force for
+    /// the round, every page byte-equal in a GC bin on its victim's own
+    /// channel, and every victim erased.
+    #[test]
+    fn a_gc_round_is_one_system_action() {
+        let geo = Geometry::tiny();
+        let cfg = EleosConfig {
+            max_user_lpid: 4096,
+            ckpt_log_bytes: u64::MAX,
+            // No GC while the layout is built.
+            gc: GcConfig {
+                free_watermark: 0.0,
+                ..GcConfig::default()
+            },
+            ..Default::default()
+        };
+        let mut ssd = Eleos::format(FlashDevice::new(geo, CostProfile::unit()), cfg).unwrap();
+        // ~900 KB of 1 KB pages nearly fills one EBLOCK per channel; the
+        // overwrite closes them with every tenth of those pages still live.
+        let lpids = 0..900u64;
+        let mut batch = WriteBatch::new(PageMode::Variable);
+        for lpid in lpids.clone() {
+            batch.put(lpid, &payload(lpid, 1000)).unwrap();
+        }
+        ssd.write(&batch, WriteOpts::default()).unwrap();
+        let mut batch = WriteBatch::new(PageMode::Variable);
+        for lpid in lpids.clone().filter(|l| l % 10 != 0) {
+            batch.put(lpid, &payload(lpid + 7, 1000)).unwrap();
+        }
+        ssd.write(&batch, WriteOpts::default()).unwrap();
+        // Seal the writes' trailing records so the round's own force is the
+        // only log page it adds.
+        ssd.log_force().unwrap();
+
+        let victims: Vec<EblockAddr> = (0..geo.channels)
+            .filter_map(|c| ssd.select_victim(c))
+            .collect();
+        assert!(victims.len() >= 2, "victims {victims:?}");
+        let mut moved: Vec<(Lpid, PhysAddr, Bytes)> = Vec::new();
+        for lpid in lpids {
+            let old = ssd.lpid_location(lpid).unwrap().unwrap();
+            if victims.contains(&old.eblock_addr()) {
+                let (bytes, _) = ssd.dev.read_extent(old.extent()).unwrap();
+                moved.push((lpid, old, bytes));
+            }
+        }
+        for v in &victims {
+            assert!(
+                moved.iter().any(|m| m.1.eblock_addr() == *v),
+                "{v:?} has live pages"
+            );
+        }
+
+        let before = ssd.stats.clone();
+        let log_before = ssd.wal.bytes_appended;
+        // Every channel needs GC, and one round meets the target.
+        ssd.cfg.gc.free_watermark = 1.0;
+        ssd.cfg.gc.free_target = 0.0;
+        ssd.maybe_gc().unwrap();
+
+        assert_eq!(
+            ssd.stats.gc_collections - before.gc_collections,
+            victims.len() as u64
+        );
+        assert_eq!(
+            ssd.stats.commits - before.commits,
+            1,
+            "one action for the round"
+        );
+        assert_eq!(
+            ssd.wal.bytes_appended - log_before,
+            geo.wblock_bytes as u64,
+            "one log force for the round"
+        );
+        for (lpid, old, bytes) in &moved {
+            let new = ssd.lpid_location(*lpid).unwrap().unwrap();
+            assert_eq!(
+                new.channel, old.channel,
+                "lpid {lpid} stays on its victim's channel"
+            );
+            let bins = &ssd.chans[new.channel as usize].gc_open;
+            assert!(
+                bins.iter().flatten().any(|ob| ob.addr == new.eblock_addr()),
+                "lpid {lpid} lands in a GC bin"
+            );
+            assert_eq!(
+                &ssd.dev.read_extent(new.extent()).unwrap().0,
+                bytes,
+                "lpid {lpid}"
+            );
+        }
+        for v in &victims {
+            assert_eq!(ssd.summary.get(*v).state, EblockState::Free, "{v:?}");
+            assert_eq!(ssd.dev.programmed_wblocks(*v).unwrap(), 0, "{v:?} erased");
+        }
     }
 
     #[test]

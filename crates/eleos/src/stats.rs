@@ -44,8 +44,10 @@ pub struct EleosStats {
     /// migrations) after a program-failure abort. User-action retries are
     /// the application's job and are not counted here.
     pub action_retries: u64,
-    /// GC relocation actions aborted by a program failure; the victim
-    /// keeps its data and is retried by a later GC pass.
+    /// GC relocation actions aborted by a program failure, one per aborted
+    /// round: a round relocates all of its victims in one action, so every
+    /// victim of that round keeps its data and is retried by a later GC
+    /// pass.
     pub gc_relocation_aborts: u64,
     /// Log pages placed at a fallback forward-pointer candidate after the
     /// primary location failed to program (Section VIII-A's three

@@ -1,6 +1,7 @@
 //! Fault-path regression tests (Section VII): scripted single-fault
-//! sweeps over checkpointing and GC, probabilistic faults under churn,
-//! and end-to-end bad-block retirement.
+//! sweeps over checkpointing and GC, program-failure and power-cut sweeps
+//! over one multi-victim GC round, probabilistic faults under churn, and
+//! end-to-end bad-block retirement.
 //!
 //! The sweep tests inject exactly one program failure at *every* ordinal
 //! position in a fixed deterministic workload, then audit, crash,
@@ -13,8 +14,8 @@
 //! chaos soak found (see `eleos-bench`'s `chaos_regressions` for the
 //! original seeds).
 
-use eleos::{Eleos, EleosConfig, EleosError, PageMode, WriteBatch, WriteOpts};
-use eleos_flash::{CostProfile, FlashDevice, Geometry, WblockAddr};
+use eleos::{Eleos, EleosConfig, EleosError, PageMode, PhysAddr, WriteBatch, WriteOpts};
+use eleos_flash::{CostProfile, EblockAddr, FlashDevice, FlashError, Geometry, WblockAddr};
 use std::collections::BTreeMap;
 
 fn dev() -> FlashDevice {
@@ -153,6 +154,195 @@ fn single_fault_sweep_over_gc() {
 
         write_churn(&mut ssd, &mut shadow, &mut v, 20, 13);
         audit(&mut ssd, &shadow, &format!("nth={nth} post-churn"));
+    }
+}
+
+/// GC for every channel under 12 of its 16 free EBLOCKs, and one round per
+/// `maybe_gc` (a target of 0 is met after any round).
+fn round_cfg() -> EleosConfig {
+    let mut c = cfg();
+    c.gc.free_watermark = 0.75;
+    c.gc.free_target = 0.0;
+    c
+}
+
+fn locations(ssd: &mut Eleos, shadow: &Shadow) -> BTreeMap<u64, PhysAddr> {
+    shadow
+        .keys()
+        .map(|&lpid| (lpid, ssd.lpid_location(lpid).unwrap().unwrap()))
+        .collect()
+}
+
+/// A churned device whose next `maybe_gc` is one multi-victim round, its
+/// shadow, and every shadow LPID's address before that round. The churn
+/// runs under the default watermarks, which leave closed, part-dead
+/// EBLOCKs on every channel; the device is then reopened under
+/// [`round_cfg`], where every channel is under the watermark. Every caller
+/// takes the same deterministic path, so the rounds are identical up to
+/// the fault a caller arms.
+fn before_round() -> (Eleos, Shadow, BTreeMap<u64, PhysAddr>) {
+    let mut ssd = Eleos::format(dev(), cfg()).unwrap();
+    let mut shadow = Shadow::new();
+    let mut v = 0u64;
+    write_churn(&mut ssd, &mut shadow, &mut v, 120, 3);
+    let mut ssd = Eleos::recover(ssd.crash(), round_cfg()).unwrap();
+    let before = locations(&mut ssd, &shadow);
+    (ssd, shadow, before)
+}
+
+/// What the fault-free round does.
+struct Round {
+    /// Victims in round order (ascending channel).
+    victims: Vec<EblockAddr>,
+    /// Where the round moves each relocated LPID.
+    moved_to: BTreeMap<u64, PhysAddr>,
+    /// Program attempts the round issues.
+    programs: u64,
+    /// Mutating flash commands (programs and erases) the round issues.
+    mutations: u64,
+}
+
+fn fault_free_round() -> Round {
+    let (mut ssd, shadow, before) = before_round();
+    let programs = ssd.device_mut().faults_mut().programs_seen();
+    let s0 = ssd.device().stats().clone();
+    ssd.maybe_gc().unwrap();
+    let s1 = ssd.device().stats().clone();
+    let programs = ssd.device_mut().faults_mut().programs_seen() - programs;
+    let moved_to: BTreeMap<u64, PhysAddr> = locations(&mut ssd, &shadow)
+        .into_iter()
+        .filter(|(lpid, at)| before[lpid] != *at)
+        .collect();
+    let mut victims: Vec<EblockAddr> = moved_to.keys().map(|l| before[l].eblock_addr()).collect();
+    victims.sort();
+    victims.dedup();
+    assert!(
+        victims.len() >= 2 && victims.windows(2).all(|w| w[0].channel < w[1].channel),
+        "the round must relocate victims on distinct channels: {victims:?}"
+    );
+    for (lpid, at) in &moved_to {
+        assert_eq!(
+            at.channel, before[lpid].channel,
+            "lpid {lpid} stays on its channel"
+        );
+    }
+    Round {
+        victims,
+        moved_to,
+        programs,
+        mutations: s1.programs + s1.erases - s0.programs - s0.erases,
+    }
+}
+
+/// One program failure at every program ordinal of a multi-victim GC
+/// round. The round is one system action, so a failure on a relocation
+/// WBLOCK of the *second* victim aborts the relocation of every victim:
+/// none is erased, every relocated LPID keeps its old address,
+/// `gc_relocation_aborts` is 1, and the next `maybe_gc` completes. Every
+/// acknowledged page reads back before and after `crash()` + `recover()`.
+#[test]
+fn program_failure_in_a_multi_victim_gc_round_keeps_every_victim() {
+    let round = fault_free_round();
+    let second = round.victims[1];
+    // The GC-bin EBLOCKs the second victim's pages are relocated into.
+    let second_bins: Vec<EblockAddr> = round
+        .moved_to
+        .iter()
+        .filter(|(_, at)| at.channel == second.channel)
+        .map(|(_, at)| at.eblock_addr())
+        .collect();
+    let mut second_hits = 0;
+    for nth in 0..round.programs {
+        let ctx = format!("nth={nth}");
+        let (mut ssd, shadow, before) = before_round();
+        let watched: Vec<EblockAddr> = round.victims.iter().chain(&second_bins).copied().collect();
+        let erases = |ssd: &Eleos| -> Vec<u32> {
+            watched
+                .iter()
+                .map(|&eb| ssd.device().erase_count(eb).unwrap())
+                .collect()
+        };
+        let erases0 = erases(&ssd);
+        ssd.device_mut().faults_mut().fail_nth_from_now(nth);
+        ssd.maybe_gc().unwrap();
+        let erased: Vec<bool> = erases(&ssd)
+            .iter()
+            .zip(&erases0)
+            .map(|(a, b)| a > b)
+            .collect();
+        let aborts = ssd.snapshot().eleos.gc_relocation_aborts;
+        if aborts > 0 {
+            assert_eq!(aborts, 1, "{ctx}: one abort for the round");
+            for (v, &gone) in round.victims.iter().zip(&erased) {
+                assert!(!gone, "{ctx}: victim {v:?} erased by an aborted round");
+            }
+            for lpid in round.moved_to.keys() {
+                assert_eq!(
+                    ssd.lpid_location(*lpid).unwrap(),
+                    Some(before[lpid]),
+                    "{ctx}: lpid {lpid} left its victim"
+                );
+            }
+            // A failed program poisons its EBLOCK, which is migrated and
+            // erased: the failure was in the second victim's GC bin.
+            second_hits += erased[round.victims.len()..].iter().any(|&e| e) as u32;
+        }
+        audit(&mut ssd, &shadow, &format!("{ctx} post-gc"));
+        ssd.maybe_gc().unwrap();
+        audit(&mut ssd, &shadow, &format!("{ctx} next gc"));
+
+        let flash = ssd.crash();
+        let mut ssd = Eleos::recover(flash, round_cfg()).unwrap();
+        audit(&mut ssd, &shadow, &format!("{ctx} post-recovery"));
+    }
+    assert!(
+        second_hits > 0,
+        "no ordinal failed a relocation WBLOCK of the second victim"
+    );
+}
+
+/// Power lost after every mutating flash command of one multi-victim GC
+/// round: after `crash()` + `recover()` every acknowledged LPID reads back
+/// intact at either its address before the round or the one the round
+/// moves it to — the round's relocation commits for every victim or for
+/// none.
+#[test]
+fn power_cut_sweep_over_a_multi_victim_gc_round() {
+    let round = fault_free_round();
+    for cut in 0..=round.mutations {
+        let (mut ssd, shadow, before) = before_round();
+        ssd.device_mut().set_power_cut_after(cut);
+        match ssd.maybe_gc() {
+            Ok(()) | Err(EleosError::Flash(FlashError::PowerLost)) | Err(EleosError::ShutDown) => {}
+            Err(e) => panic!("cut={cut}: unexpected GC error {e}"),
+        }
+        let mut flash = ssd.crash();
+        flash.clear_power_cut();
+        let mut ssd = Eleos::recover(flash, round_cfg()).unwrap();
+        let after = locations(&mut ssd, &shadow);
+        let moved: Vec<bool> = round
+            .moved_to
+            .iter()
+            .map(|(lpid, to)| {
+                let at = after[lpid];
+                assert!(
+                    at == before[lpid] || at == *to,
+                    "cut={cut}: lpid {lpid} at {at:?}, neither {:?} nor {to:?}",
+                    before[lpid]
+                );
+                at == *to
+            })
+            .collect();
+        assert!(
+            moved.iter().all(|&m| m) || moved.iter().all(|&m| !m),
+            "cut={cut}: the round committed for some victims only"
+        );
+        for (lpid, at) in &after {
+            if !round.moved_to.contains_key(lpid) {
+                assert_eq!(*at, before[lpid], "cut={cut}: lpid {lpid} moved");
+            }
+        }
+        audit(&mut ssd, &shadow, &format!("cut={cut} post-recovery"));
     }
 }
 
