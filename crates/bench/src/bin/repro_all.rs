@@ -153,10 +153,12 @@ fn jobs() -> Vec<Job> {
                  rounds (one victim per needy channel, collected together) \
                  and batched reads; the read columns issue identical op/byte \
                  counts, the GC columns the same selection policy in \
-                 round-robin order. The deferred GC column also relocates \
-                 each round's victims in one system action (one context and \
-                 one commit force per round, not per victim), so part of its \
-                 speedup is controller CPU saved rather than channel overlap. \
+                 round-robin order. Both GC columns relocate a `maybe_gc` \
+                 pass's victims in one system action (one context and one \
+                 commit force per pass), but their rounds differ: the serial \
+                 column drains one channel at a time, the deferred column \
+                 takes a victim from every needy channel per round, so the \
+                 number of relocation actions differs too. \
                  Figures that exercise this: Fig. 10c and \
                  the GC-policy/hot-cold ablations (collector overlap), Fig. \
                  10a read misses via `read_batch` (read overlap); Fig. 9 and \

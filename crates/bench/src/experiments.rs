@@ -439,9 +439,10 @@ fn overlap_read_batch(
 /// the columns — only completion ordering differs, so the speedup is pure
 /// channel overlap. For the GC scenario the collector additionally
 /// round-robins one victim per needy channel per round (instead of
-/// draining channels one at a time) and relocates each round's victims in
-/// one system action, so victim order — though not the selection policy —
-/// and the number of relocation actions differ between the columns.
+/// draining channels one at a time). Both columns relocate a pass's
+/// victims in one system action, but victim order — though not the
+/// selection policy — and the number of relocation actions differ between
+/// the columns.
 pub fn overlap_scheduler() -> Table {
     // 8 × 32 × 32 × 32 KB = 256 MB. Utilization is computed against raw
     // capacity; after the fixed reserves at this scale (checkpoint area,

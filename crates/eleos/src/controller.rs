@@ -101,7 +101,7 @@ pub(crate) enum Dest {
 
 /// A contiguous run of a system action's pages and where it is
 /// provisioned. User, checkpoint and migration actions are one segment; a
-/// GC round's relocation action has one per victim, in victim order.
+/// GC pass's relocation action has one per victim, in victim order.
 pub(crate) type Segment = (std::ops::Range<usize>, Dest);
 
 /// Result of a committed system action.
@@ -170,7 +170,8 @@ pub(crate) struct CloseEvent {
     pub entries: Vec<(PageKind, Lpid)>,
 }
 
-/// Output of write provisioning for one system action.
+/// Output of write provisioning for one system action (for a GC pass, of
+/// every round it staged).
 #[derive(Debug, Default)]
 pub(crate) struct Plan {
     /// Physical address per page (parallel to the action's page list).
@@ -801,7 +802,8 @@ impl Eleos {
 
         let id = self.next_action;
         self.next_action += 1;
-        let plan = self.provision(&pages, &[(0..pages.len(), Dest::User)])?;
+        let mut plan = Plan::default();
+        self.provision(&pages, &[(0..pages.len(), Dest::User)], &mut plan)?;
         let mut first_lsn = 0;
         for (i, p) in pages.iter().enumerate() {
             let lsn = self.log_append(&LogRecord::Write {
@@ -1244,11 +1246,27 @@ impl Eleos {
         self.dev
             .cpu(profile.context_ns + profile.per_page_ns * pages.len() as u64);
 
+        // ---- initialization: provisioning + I/O command generation ----
+        let mut plan = Plan::default();
+        self.provision(pages, segs, &mut plan)?;
+        self.execute(akind, advances, pages, &plan, wait_durable)
+    }
+
+    /// The rest of a system action whose `pages` are provisioned by `plan`
+    /// (and whose CPU is charged): the log records, the programs, the
+    /// `Commit` and log force, the installs and `Done`. A GC pass stages
+    /// its rounds into one plan and executes it once.
+    pub(crate) fn execute(
+        &mut self,
+        akind: ActionKind,
+        advances: &[(Sid, Wsn)],
+        pages: &[ActionPage],
+        plan: &Plan,
+        wait_durable: bool,
+    ) -> Result<ActionResult> {
+        let profile = *self.dev.profile();
         let id = self.next_action;
         self.next_action += 1;
-
-        // ---- initialization: provisioning + I/O command generation ----
-        let plan = self.provision(pages, segs)?;
 
         // ---- initialization: log records ----
         let mut first_lsn = 0;
@@ -1285,7 +1303,7 @@ impl Eleos {
             match r {
                 Ok(t) => max_done = max_done.max(t),
                 Err(FlashError::ProgramFailed(addr)) => {
-                    return self.handle_write_failure(id, &plan, addr, 0);
+                    return self.handle_write_failure(id, plan, addr, 0);
                 }
                 Err(e) => return Err(e.into()),
             }
@@ -1458,24 +1476,29 @@ impl Eleos {
     // Write provisioning (Section IV-A1)
     // ------------------------------------------------------------------
 
-    /// Provision every segment in order. A GC segment's destination channel
-    /// is resolved here, against the free lists the segments before it
-    /// left, as consecutive single-victim actions would resolve it.
-    fn provision(&mut self, pages: &[ActionPage], segs: &[Segment]) -> Result<Plan> {
-        let mut plan = Plan {
-            addrs: vec![PhysAddr::new(0, 0, 0, 0); pages.len()],
-            ..Default::default()
-        };
+    /// Provision every segment in order into `plan`, whose addresses grow
+    /// to cover `pages` (a GC pass adds each round's pages and segments to
+    /// the plan of the rounds before it). A GC segment's destination
+    /// channel is resolved here, against the free lists the segments
+    /// before it left, as consecutive single-victim actions would resolve
+    /// it.
+    pub(crate) fn provision(
+        &mut self,
+        pages: &[ActionPage],
+        segs: &[Segment],
+        plan: &mut Plan,
+    ) -> Result<()> {
+        plan.addrs.resize(pages.len(), PhysAddr::new(0, 0, 0, 0));
         for (range, dest) in segs {
             match *dest {
-                Dest::User => self.provision_user(pages, range.clone(), &mut plan)?,
+                Dest::User => self.provision_user(pages, range.clone(), plan)?,
                 Dest::GcBin { victim_channel, .. } => {
                     let channel = self.gc_dest_channel(victim_channel);
-                    self.provision_chunk(channel, pages, range.clone(), *dest, &mut plan)?;
+                    self.provision_chunk(channel, pages, range.clone(), *dest, plan)?;
                 }
             }
         }
-        Ok(plan)
+        Ok(())
     }
 
     /// Global provisioning: partition into roughly equal chunks, respecting

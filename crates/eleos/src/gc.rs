@@ -7,21 +7,76 @@
 //! a victim are identified by a newest-to-oldest scan over its persisted
 //! metadata (Fig. 6) that deduplicates LPIDs with a seen-set, read as RBLOCK
 //! runs so each covered RBLOCK is read once, and moved through the ordinary
-//! system-action write path with conditional installs — one action per GC
-//! round, however many victims the round collects.
+//! system-action write path with conditional installs.
+//!
+//! A GC *pass* (one [`Eleos::maybe_gc`] call) runs rounds of one victim
+//! per needy channel, and relocates all of them in one system action. Each
+//! round reads and scans its victims and provisions their live pages into
+//! the pass's plan; the log records, programs, commit force, installs and
+//! victim erases wait for the end of the pass. A pass commits early only
+//! before a round that could run a channel's free list dry.
 
 use crate::config::GcPolicy;
-use crate::controller::{ActionPage, Dest, Eleos, Segment};
+use crate::controller::{ActionPage, Dest, Eleos, Plan, Segment};
 use crate::error::{EleosError, Result};
 use crate::provision::decode_eblock_meta;
 use crate::summary::{EblockDesc, EblockPurpose, EblockState};
 use crate::types::{ActionKind, Lpid, PageKind, Usn};
 use bytes::Bytes;
-use eleos_flash::{Activity, ByteExtent, EblockAddr, FlashDevice, Geometry, IoTicket, SpanKind};
+use eleos_flash::{
+    Activity, ByteExtent, EblockAddr, FlashDevice, Geometry, IoTicket, Nanos, SpanKind,
+};
 
 /// One victim readied for relocation: its address, birth timestamp, and
 /// the (kind, lpid) entries decoded from its persisted metadata.
 type VictimPrep = (EblockAddr, Usn, Vec<(PageKind, Lpid)>);
+
+/// EBLOCKs that staging one victim can allocate on its channel. The
+/// victim's live pages fit in one fresh EBLOCK: they fit in the victim,
+/// whose metadata described at least as many entries. So its segment
+/// fills at most the GC bin it finds open, then one new EBLOCK.
+const ALLOCS_PER_VICTIM: usize = 1;
+
+/// The relocation a GC pass has staged so far: the live pages of every
+/// round's victims, provisioned into one plan. Nothing of it is logged,
+/// programmed, installed or erased until [`Eleos::commit_pass`].
+#[derive(Debug, Default)]
+struct Pass {
+    pages: Vec<ActionPage>,
+    plan: Plan,
+    /// Each staged round's victims, at most one per channel.
+    rounds: Vec<Vec<EblockAddr>>,
+    /// When the first round was staged: the start of the pass's
+    /// `GcCollect` span.
+    t0: Nanos,
+}
+
+impl Pass {
+    /// Victims pending on `channel`, which the commit erases into its
+    /// free list.
+    fn pending(&self, channel: u32) -> usize {
+        self.rounds
+            .iter()
+            .flatten()
+            .filter(|v| v.channel == channel)
+            .count()
+    }
+
+    /// EBLOCKs of `channel` that cannot be victims while the pass is open:
+    /// its pending victims, and the EBLOCKs its plan closed. Those are
+    /// `Used` before any of their WBLOCKs is programmed, so collecting one
+    /// would self-heal-erase a block the pass is about to program.
+    fn excluded(&self, channel: u32) -> Vec<u32> {
+        self.rounds
+            .iter()
+            .flatten()
+            .copied()
+            .chain(self.plan.closes.iter().map(|c| c.addr))
+            .filter(|a| a.channel == channel)
+            .map(|a| a.eblock)
+            .collect()
+    }
+}
 
 /// Read extents of one EBLOCK with each covered RBLOCK read once (Section
 /// V: the device reads whole RBLOCKs). The extents are covered by RBLOCK
@@ -94,13 +149,15 @@ fn slice_runs(runs: &[ByteExtent], data: &[Bytes], ext: ByteExtent) -> Bytes {
 impl Eleos {
     /// Trigger GC on any channel below the free-space watermark
     /// (Section IV-A1: "lower than 10%, the channel will be marked for
-    /// GC").
+    /// GC"), in one pass.
     ///
     /// With `defer_io` on, needy channels are serviced round-robin — one
-    /// reclaim step per channel per round, with the round's metadata reads,
-    /// valid-page reads and erases batched so distinct channels overlap.
-    /// With `defer_io` off (or a single needy channel) this reduces to the
-    /// legacy schedule: drain one channel to its target before the next.
+    /// reclaim step per channel per round, with the round's metadata reads
+    /// and valid-page reads batched so distinct channels overlap. With
+    /// `defer_io` off, each needy channel is drained to its target before
+    /// the next, one step per round. Either way every round's victims are
+    /// relocated by the pass's one system action and erased after its
+    /// commit, one overlapped batch per round.
     pub fn maybe_gc(&mut self) -> Result<()> {
         // Attribute everything underneath — victim scans, relocation
         // actions, erases, and any WAL appends they cause — to GC (WAL
@@ -116,73 +173,90 @@ impl Eleos {
         let total = geo.eblocks_per_channel as f64;
         let target = (total * self.cfg.gc.free_target).ceil() as usize;
         let watermark = (total * self.cfg.gc.free_watermark).ceil() as usize;
-        if !self.cfg.defer_io {
-            for ch in 0..geo.channels {
-                if self.chans[ch as usize].free.len() >= watermark {
-                    continue;
-                }
-                let mut guard = geo.eblocks_per_channel * 2;
-                let mut stalled = 0;
-                while self.chans[ch as usize].free.len() < target && guard > 0 {
-                    guard -= 1;
-                    let before = self.chans[ch as usize].free.len();
-                    if !self.gc_channel_once(ch)? {
-                        break;
-                    }
-                    if self.chans[ch as usize].free.len() <= before {
-                        stalled += 1;
-                        if stalled >= 3 {
-                            // No net progress (victims too full); stop
-                            // rather than churn.
-                            break;
-                        }
-                    } else {
-                        stalled = 0;
-                    }
-                }
+        // The channels each run of rounds covers: all of them round-robin,
+        // or one at a time.
+        let groups: Vec<Vec<u32>> = if self.cfg.defer_io {
+            vec![(0..geo.channels).collect()]
+        } else {
+            (0..geo.channels).map(|c| vec![c]).collect()
+        };
+        let mut pass = Pass::default();
+        for group in groups {
+            let active = group
+                .into_iter()
+                .filter(|&c| self.gc_free(&pass, c) < watermark)
+                .collect();
+            if !self.gc_rounds(&mut pass, active, target)? {
+                return Ok(()); // the pass aborted; a later one retries
             }
-            return Ok(());
         }
-        // Round-robin across needy channels. Per-channel guard and stall
-        // counters mirror the legacy loop's termination conditions exactly;
-        // with one needy channel every round is a single legacy GC step.
+        self.commit_pass(&mut pass)?;
+        Ok(())
+    }
+
+    /// A channel's free EBLOCKs as GC's targets count them: its free list
+    /// plus its victims pending in `pass` — the count per-round erases
+    /// would have left.
+    fn gc_free(&self, pass: &Pass, channel: u32) -> usize {
+        self.chans[channel as usize].free.len() + pass.pending(channel)
+    }
+
+    /// Run GC rounds over the `active` channels, staging them into `pass`.
+    /// Each round reclaims a truncated log EBLOCK per channel if it has
+    /// one, erased at once, else stages a victim. A channel leaves once it
+    /// reaches `target`, exhausts its candidates or its guard, or stalls
+    /// for three rounds. Returns false if an early commit aborted the pass.
+    fn gc_rounds(&mut self, pass: &mut Pass, mut active: Vec<u32>, target: usize) -> Result<bool> {
+        let geo = *self.dev.geometry();
         let mut guard = vec![geo.eblocks_per_channel * 2; geo.channels as usize];
         let mut stalled = vec![0u32; geo.channels as usize];
-        let mut active: Vec<u32> = (0..geo.channels)
-            .filter(|&c| self.chans[c as usize].free.len() < watermark)
-            .collect();
         while !active.is_empty() {
-            let before: Vec<usize> = active
-                .iter()
-                .map(|&c| self.chans[c as usize].free.len())
-                .collect();
+            let before: Vec<usize> = active.iter().map(|&c| self.gc_free(pass, c)).collect();
+            // Log EBLOCKs whose records are all below the truncation LSN
+            // are free to erase — "smallest scores because no data
+            // movement is needed" (Section VI-A).
             let mut erases: Vec<EblockAddr> = Vec::new();
-            let mut victims: Vec<EblockAddr> = Vec::new();
-            let mut exhausted = vec![false; active.len()];
-            for (i, &ch) in active.iter().enumerate() {
+            let mut wanting: Vec<u32> = Vec::new();
+            for &ch in &active {
                 guard[ch as usize] -= 1;
-                if let Some(eb) = self.pop_truncated_log_eblock(ch) {
-                    erases.push(eb);
-                } else if let Some(v) = self.select_victim(ch) {
-                    victims.push(v);
-                } else {
-                    exhausted[i] = true; // nothing reclaimable on ch
+                match self.pop_truncated_log_eblock(ch) {
+                    Some(eb) => erases.push(eb),
+                    None => wanting.push(ch),
                 }
             }
             self.erase_batch(&erases)?;
+            // If this round could run a victim's channel dry, commit the
+            // pass first, so provisioning sees the free lists per-round
+            // erases would have left.
+            let dry = wanting
+                .iter()
+                .any(|&c| self.chans[c as usize].free.len() <= ALLOCS_PER_VICTIM);
+            if dry && !pass.rounds.is_empty() && !self.commit_pass(pass)? {
+                return Ok(false);
+            }
+            let mut victims: Vec<EblockAddr> = Vec::new();
+            let mut exhausted: Vec<u32> = Vec::new();
+            for &ch in &wanting {
+                match self.select_victim(ch, &pass.excluded(ch)) {
+                    Some(v) => victims.push(v),
+                    None => exhausted.push(ch), // nothing reclaimable on ch
+                }
+            }
             if !victims.is_empty() {
-                self.collect_victims(&victims)?;
+                self.stage_round(pass, &victims)?;
             }
             let mut next = Vec::new();
             for (i, &ch) in active.iter().enumerate() {
-                if exhausted[i] {
+                if exhausted.contains(&ch) {
                     continue;
                 }
                 let c = ch as usize;
-                let now_free = self.chans[c].free.len();
+                let now_free = self.gc_free(pass, ch);
                 if now_free <= before[i] {
                     stalled[c] += 1;
                     if stalled[c] >= 3 {
+                        // No net progress (victims too full); stop rather
+                        // than churn.
                         continue;
                     }
                 } else {
@@ -195,25 +269,6 @@ impl Eleos {
             }
             active = next;
         }
-        Ok(())
-    }
-
-    /// One GC step on a channel: reclaim a truncated log EBLOCK if any,
-    /// else collect the best data victim. Returns false when nothing can
-    /// be reclaimed.
-    pub(crate) fn gc_channel_once(&mut self, channel: u32) -> Result<bool> {
-        // Log EBLOCKs whose records are all below the truncation LSN are
-        // free to erase — "smallest scores because no data movement is
-        // needed" (Section VI-A). Popped from the per-channel max_lsn index
-        // instead of rescanning every EBLOCK.
-        if let Some(addr) = self.pop_truncated_log_eblock(channel) {
-            self.erase_and_free(addr)?;
-            return Ok(true);
-        }
-        let Some(victim) = self.select_victim(channel) else {
-            return Ok(false);
-        };
-        self.collect_eblock(victim)?;
         Ok(true)
     }
 
@@ -246,8 +301,8 @@ impl Eleos {
 
     /// Erase a set of EBLOCKs (at most one per channel), overlapping the
     /// erases on distinct channels. A single EBLOCK takes the blocking
-    /// [`Eleos::erase_and_free`] path so the degenerate case is
-    /// schedule-identical to the legacy code.
+    /// [`Eleos::erase_and_free`] path, so a one-channel round erases alike
+    /// with `defer_io` on or off.
     ///
     /// Multi-victim rounds go through [`FlashDevice::erase_batch`]: all
     /// erases are submitted in one device batch, then each successfully
@@ -285,37 +340,21 @@ impl Eleos {
         }
     }
 
-    /// Collect one victim per channel in a single overlapped round:
-    /// metadata reads are submitted channel-major and retired together,
-    /// each victim's valid-page RBLOCK runs are submitted after its scan
-    /// and retired with one collective wait, one relocation action moves
-    /// every victim's valid pages (one context, one commit force), and the
-    /// final erases overlap. If that action aborts on a program failure, no
-    /// victim is erased: all of them keep their data for a later pass.
-    /// A single victim degenerates to [`Eleos::collect_eblock`]'s blocking
-    /// schedule exactly.
-    pub(crate) fn collect_victims(&mut self, victims: &[EblockAddr]) -> Result<()> {
-        if let [victim] = victims {
-            return self.collect_eblock(*victim);
+    /// Stage one round of victims (at most one per channel) into `pass`
+    /// in three phases: (1) the metadata reads, batched, (2) the validity
+    /// scans, with one collective wait on their RBLOCK runs, (3) the live
+    /// pages provisioned into the pass's plan, one [`Segment`] per victim
+    /// into that victim's own GC bin. The action's CPU is charged as it
+    /// grows: its context with its first page, then each page.
+    fn stage_round(&mut self, pass: &mut Pass, victims: &[EblockAddr]) -> Result<()> {
+        if pass.rounds.is_empty() {
+            pass.t0 = self.dev.clock().now();
         }
-        // One span per overlapped round (victim count is in
-        // `gc_collections`); the serial path records one per victim.
-        let t0 = self.dev.clock().now();
-        let res = self.collect_victims_impl(victims);
-        if res.is_ok() {
-            self.finish_span(SpanKind::GcCollect, t0);
-        }
-        res
-    }
-
-    /// The round in four phases: (1) batched metadata reads, (2) validity
-    /// scans with one collective wait on their RBLOCK runs, (3) one
-    /// relocation action for the round, with one [`Segment`] per victim,
-    /// (4) one batched erase of every victim.
-    fn collect_victims_impl(&mut self, victims: &[EblockAddr]) -> Result<()> {
         let geo = *self.dev.geometry();
         let wb = geo.wblock_bytes as u64;
-        // Phase 1: frontier checks, then all metadata reads batched.
+        // Phase 1: frontier checks, then all metadata reads batched. "only
+        // the metadata pages need to be read to decide which data pages
+        // remain valid" (Section IV-A1).
         let mut metas: Vec<(EblockAddr, Usn, u32, u32)> = Vec::new();
         for &victim in victims {
             self.stats.gc_collections += 1;
@@ -323,7 +362,7 @@ impl Eleos {
             let frontier = self.dev.programmed_wblocks(victim)?;
             if frontier == 0 {
                 // Descriptor is stale (erase lost in a crash window):
-                // self-heal immediately, as the serial path does.
+                // self-heal immediately.
                 self.erase_and_free(victim)?;
                 continue;
             }
@@ -333,6 +372,9 @@ impl Eleos {
                 return Err(EleosError::Corrupt("victim eblock metadata unreadable"));
             }
             metas.push((victim, d.ts, meta_start, meta_count));
+        }
+        if metas.is_empty() {
+            return Ok(());
         }
         let exts: Vec<ByteExtent> = metas
             .iter()
@@ -352,17 +394,17 @@ impl Eleos {
         // Phase 2: validity scans; RBLOCK-run reads submitted per victim,
         // one collective wait so victim channels overlap.
         let mut scans: Vec<Vec<ActionPage>> = Vec::with_capacity(preps.len());
-        let mut pending: Vec<IoTicket> = Vec::new();
+        let mut waits: Vec<IoTicket> = Vec::new();
         for (victim, _, entries) in &preps {
             let (valid, tickets) = self.scan_valid_pages_submit(*victim, entries)?;
-            pending.extend(tickets);
+            waits.extend(tickets);
             scans.push(valid);
         }
-        self.dev.clock_mut().wait_all(&pending);
-        // Phase 3: one relocation action for the round. The victims' valid
-        // pages are concatenated in victim order, one segment per victim
-        // into that victim's own GC bin.
-        let mut pages: Vec<ActionPage> = Vec::with_capacity(scans.iter().map(Vec::len).sum());
+        self.dev.clock_mut().wait_all(&waits);
+        // Phase 3: the victims' live pages join the pass's pages in victim
+        // order and are provisioned now, so later rounds see the cursors,
+        // free lists and `usn` this round leaves.
+        let first = pass.pages.len();
         let mut segs: Vec<Segment> = Vec::with_capacity(scans.len());
         for ((victim, ts, _), valid) in preps.iter().zip(scans) {
             if valid.is_empty() {
@@ -370,33 +412,65 @@ impl Eleos {
             }
             self.stats.gc_moved_pages += valid.len() as u64;
             self.stats.gc_moved_bytes += valid.iter().map(|p| p.bytes.len() as u64).sum::<u64>();
-            let start = pages.len();
-            pages.extend(valid);
+            let start = pass.pages.len();
+            pass.pages.extend(valid);
             let dest = Dest::GcBin {
                 victim_channel: victim.channel,
                 victim_ts: *ts,
             };
-            segs.push((start..pages.len(), dest));
+            segs.push((start..pass.pages.len(), dest));
         }
-        match self.run_action_inner(ActionKind::Gc, &[], &pages, &segs, false) {
-            Ok(r) => self.dev.clock_mut().wait_until(r.done_at),
-            Err(EleosError::ActionAborted) => {
-                // The round's relocation hit a program failure: every victim
-                // keeps its data and is retried by a later pass.
-                self.stats.gc_relocation_aborts += 1;
-                return Ok(());
+        let moved = (pass.pages.len() - first) as u64;
+        if moved > 0 {
+            let profile = *self.dev.profile();
+            let context = if first == 0 { profile.context_ns } else { 0 };
+            self.dev.cpu(context + profile.per_page_ns * moved);
+            self.provision(&pass.pages, &segs, &mut pass.plan)?;
+        }
+        pass.rounds
+            .push(preps.into_iter().map(|(victim, _, _)| victim).collect());
+        Ok(())
+    }
+
+    /// Commit `pass`, leaving it empty: one relocation action for every
+    /// page it staged (one context, one `Commit` and log force), then the
+    /// erases of its victims, one overlapped batch per round. Returns false
+    /// if a program failure aborted the action: then no victim of any
+    /// round is erased, each keeps its data for a later pass, and
+    /// `gc_relocation_aborts` rises by one.
+    fn commit_pass(&mut self, pass: &mut Pass) -> Result<bool> {
+        let Pass {
+            pages,
+            plan,
+            rounds,
+            t0,
+        } = std::mem::take(pass);
+        if !pages.is_empty() {
+            match self.execute(ActionKind::Gc, &[], &pages, &plan, false) {
+                Ok(r) => self.dev.clock_mut().wait_until(r.done_at),
+                Err(EleosError::ActionAborted) => {
+                    self.stats.gc_relocation_aborts += 1;
+                    return Ok(false);
+                }
+                Err(e) => return Err(e),
             }
-            Err(e) => return Err(e),
         }
-        // Phase 4: erase the round's victims together.
-        let victims: Vec<EblockAddr> = preps.iter().map(|&(victim, _, _)| victim).collect();
-        self.erase_batch(&victims)
+        // "Once the system action is successfully committed ... [the old
+        // EBLOCK] can be erased."
+        for victims in &rounds {
+            self.erase_batch(victims)?;
+        }
+        if !rounds.is_empty() {
+            self.finish_span(SpanKind::GcCollect, t0);
+        }
+        Ok(true)
     }
 
     /// Pick the victim per the configured selection policy. All policies
     /// share the min-score convention; candidates keep channel eb-index
     /// order so ties resolve to the lowest EBLOCK deterministically.
-    pub(crate) fn select_victim(&self, channel: u32) -> Option<EblockAddr> {
+    /// EBLOCKs of the channel in `skip` are passed over.
+    pub(crate) fn select_victim(&self, channel: u32, skip: &[u32]) -> Option<EblockAddr> {
         let geo = *self.dev.geometry();
         let now = self.usn;
         let mut candidates: Vec<(EblockAddr, EblockDesc)> = Vec::new();
@@ -406,8 +480,8 @@ impl Eleos {
             if d.state != EblockState::Used || d.purpose != EblockPurpose::Data {
                 continue;
             }
-            if d.avail == 0 {
-                continue; // nothing reclaimable
+            if d.avail == 0 || skip.contains(&eb) {
+                continue; // nothing reclaimable, or passed over
             }
             candidates.push((addr, d));
         }
@@ -446,65 +520,6 @@ impl Eleos {
             }
         }
         best.map(|(a, _)| a)
-    }
-
-    /// Collect one victim EBLOCK: read its metadata, move valid LPAGEs,
-    /// erase.
-    pub(crate) fn collect_eblock(&mut self, victim: EblockAddr) -> Result<()> {
-        let t0 = self.dev.clock().now();
-        let res = self.collect_eblock_impl(victim);
-        if res.is_ok() {
-            self.finish_span(SpanKind::GcCollect, t0);
-        }
-        res
-    }
-
-    fn collect_eblock_impl(&mut self, victim: EblockAddr) -> Result<()> {
-        self.stats.gc_collections += 1;
-        let geo = *self.dev.geometry();
-        let d = *self.summary.get(victim);
-        let frontier = self.dev.programmed_wblocks(victim)?;
-        if frontier == 0 {
-            // Descriptor is stale (erase lost in a crash window): self-heal.
-            return self.erase_and_free(victim);
-        }
-        // "only the metadata pages need to be read to decide which data
-        // pages remain valid" (Section IV-A1).
-        let meta_start = d.data_wblocks as u32;
-        let meta_count = d.meta_wblocks as u32;
-        let entries = if meta_count == 0 || meta_start + meta_count > frontier {
-            None
-        } else {
-            let (bytes, t) = self.dev.read_wblocks(victim, meta_start, meta_count)?;
-            self.dev.clock_mut().wait_until(t);
-            let views: Vec<&[u8]> = bytes.chunks(geo.wblock_bytes as usize).collect();
-            decode_eblock_meta(&views, &geo).map(|m| m.entries)
-        };
-        let Some(entries) = entries else {
-            return Err(EleosError::Corrupt("victim eblock metadata unreadable"));
-        };
-        let valid = self.scan_valid_pages(victim, &entries)?;
-        if !valid.is_empty() {
-            self.stats.gc_moved_pages += valid.len() as u64;
-            self.stats.gc_moved_bytes += valid.iter().map(|p| p.bytes.len() as u64).sum::<u64>();
-            let dest = Dest::GcBin {
-                victim_channel: victim.channel,
-                victim_ts: d.ts,
-            };
-            match self.run_action(ActionKind::Gc, &valid, dest) {
-                Ok(_) => {}
-                Err(EleosError::ActionAborted) => {
-                    // The GC write itself hit a program failure; the victim
-                    // keeps its data and will be retried by a later GC pass.
-                    self.stats.gc_relocation_aborts += 1;
-                    return Ok(());
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        // "Once the system action is successfully committed ... [the old
-        // EBLOCK] can be erased."
-        self.erase_and_free(victim)
     }
 
     /// Public hook for applications: run GC and checkpointing housekeeping.
@@ -753,7 +768,7 @@ mod tests {
         ssd.log_force().unwrap();
 
         let victims: Vec<EblockAddr> = (0..geo.channels)
-            .filter_map(|c| ssd.select_victim(c))
+            .filter_map(|c| ssd.select_victim(c, &[]))
             .collect();
         assert!(victims.len() >= 2, "victims {victims:?}");
         let mut moved: Vec<(Lpid, PhysAddr, Bytes)> = Vec::new();
@@ -813,6 +828,165 @@ mod tests {
             assert_eq!(ssd.summary.get(*v).state, EblockState::Free, "{v:?}");
             assert_eq!(ssd.dev.programmed_wblocks(*v).unwrap(), 0, "{v:?} erased");
         }
+    }
+
+    /// One channel of 32 EBLOCKs, with no GC until a test raises the
+    /// watermark.
+    fn one_channel(gc: GcConfig) -> Eleos {
+        let geo = Geometry {
+            channels: 1,
+            eblocks_per_channel: 32,
+            ..Geometry::tiny()
+        };
+        let cfg = EleosConfig {
+            max_user_lpid: 4096,
+            ckpt_log_bytes: u64::MAX,
+            gc: GcConfig {
+                free_watermark: 0.0,
+                ..gc
+            },
+            ..Default::default()
+        };
+        Eleos::format(FlashDevice::new(geo, CostProfile::unit()), cfg).unwrap()
+    }
+
+    /// Write LPIDs `0..n` as 1 KB pages, overwrite those `keep` rejects and
+    /// seal the log: the first write's EBLOCKs close with only the kept
+    /// pages live. Returns every LPID's address and stored bytes.
+    fn churned(
+        ssd: &mut Eleos,
+        n: Lpid,
+        keep: impl Fn(Lpid) -> bool,
+    ) -> Vec<(Lpid, PhysAddr, Bytes)> {
+        let writes = [
+            (0, (0..n).collect::<Vec<_>>()),
+            (7, (0..n).filter(|&l| !keep(l)).collect()),
+        ];
+        for (seed, lpids) in writes {
+            let mut batch = WriteBatch::new(PageMode::Variable);
+            for lpid in lpids {
+                batch.put(lpid, &payload(lpid + seed, 1000)).unwrap();
+            }
+            ssd.write(&batch, WriteOpts::default()).unwrap();
+        }
+        ssd.log_force().unwrap();
+        (0..n)
+            .map(|lpid| {
+                let at = ssd.lpid_location(lpid).unwrap().unwrap();
+                (lpid, at, ssd.dev.read_extent(at.extent()).unwrap().0)
+            })
+            .collect()
+    }
+
+    /// One `maybe_gc` pass whose target is `extra` EBLOCKs above the free
+    /// list.
+    fn gc_pass(ssd: &mut Eleos, extra: usize) {
+        let total = ssd.dev.geometry().eblocks_per_channel as f64;
+        let free = ssd.chans[0].free.len() as f64;
+        ssd.cfg.gc.free_watermark = 1.0;
+        ssd.cfg.gc.free_target = (free + extra as f64 - 0.5) / total;
+        ssd.maybe_gc().unwrap();
+    }
+
+    /// The victims the pass moved pages out of, after checking that every
+    /// moved page is byte-equal at its new address.
+    fn moved_from(ssd: &mut Eleos, pages: &[(Lpid, PhysAddr, Bytes)]) -> Vec<EblockAddr> {
+        let mut victims = Vec::new();
+        for (lpid, old, bytes) in pages {
+            let new = ssd.lpid_location(*lpid).unwrap().unwrap();
+            if new != *old {
+                assert_eq!(
+                    &ssd.dev.read_extent(new.extent()).unwrap().0,
+                    bytes,
+                    "lpid {lpid}"
+                );
+                victims.push(old.eblock_addr());
+            }
+        }
+        victims.dedup();
+        victims
+    }
+
+    /// Three rounds of one pass on one channel are one system action: one
+    /// commit, one log force, every victim erased after it.
+    #[test]
+    fn a_multi_round_gc_pass_is_one_system_action() {
+        let mut ssd = one_channel(GcConfig::default());
+        let pages = churned(&mut ssd, 1000, |l| l % 25 == 0);
+        let before = ssd.stats.clone();
+        let log_before = ssd.wal.bytes_appended;
+        // The first round opens a GC bin, so the target takes three.
+        gc_pass(&mut ssd, 2);
+
+        let rounds = ssd.stats.gc_collections - before.gc_collections;
+        assert!(rounds >= 3, "{rounds} rounds");
+        assert_eq!(
+            ssd.stats.commits - before.commits,
+            1,
+            "one action for the pass"
+        );
+        assert_eq!(
+            ssd.wal.bytes_appended - log_before,
+            ssd.dev.geometry().wblock_bytes as u64,
+            "one log force for the pass"
+        );
+        let victims = moved_from(&mut ssd, &pages);
+        assert_eq!(victims.len() as u64, rounds, "{victims:?}");
+        for v in &victims {
+            assert_eq!(ssd.summary.get(*v).state, EblockState::Free, "{v:?}");
+            assert_eq!(ssd.dev.programmed_wblocks(*v).unwrap(), 0, "{v:?} erased");
+        }
+    }
+
+    /// A GC bin that fills mid-pass is closed — `Used` — before any of its
+    /// WBLOCKs is programmed, and it carries the age of the oldest victim
+    /// in it. Oldest-first selection would pick it next; the pass must
+    /// pass it over, or it would self-heal-erase the bin it is about to
+    /// program.
+    #[test]
+    fn a_pass_never_collects_a_bin_it_closed() {
+        let mut ssd = one_channel(GcConfig {
+            policy: GcPolicy::Oldest,
+            open_bins: 1,
+            ..GcConfig::default()
+        });
+        // Two thirds of each EBLOCK stay live, so two victims overfill one
+        // bin.
+        let pages = churned(&mut ssd, 1000, |l| l % 3 != 0);
+        let before = ssd.stats.clone();
+        let erases = |ssd: &Eleos, eb| ssd.dev.erase_count(EblockAddr::new(0, eb)).unwrap();
+        let erases_before: Vec<u32> = (0..32).map(|eb| erases(&ssd, eb)).collect();
+        gc_pass(&mut ssd, 1);
+
+        assert!(ssd.stats.gc_collections - before.gc_collections >= 3);
+        assert_eq!(
+            ssd.stats.commits - before.commits,
+            1,
+            "one action for the pass"
+        );
+        let victims = moved_from(&mut ssd, &pages);
+        // The first victim's pages went to the bin that closed.
+        let bin = ssd.lpid_location(1).unwrap().unwrap().eblock_addr();
+        assert_eq!(pages[1].1.eblock_addr(), victims[0], "lpid 1 moved");
+        assert!(!victims.contains(&bin));
+        assert_eq!(
+            ssd.summary.get(bin).state,
+            EblockState::Used,
+            "the bin closed"
+        );
+        assert_eq!(
+            erases(&ssd, bin.eblock),
+            erases_before[bin.eblock as usize],
+            "the bin was not erased"
+        );
+        assert!(
+            ssd.chans[0]
+                .gc_open
+                .iter()
+                .flatten()
+                .all(|ob| ob.addr != bin),
+            "a later bin is open"
+        );
     }
 
     #[test]

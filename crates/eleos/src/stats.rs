@@ -45,9 +45,9 @@ pub struct EleosStats {
     /// the application's job and are not counted here.
     pub action_retries: u64,
     /// GC relocation actions aborted by a program failure, one per aborted
-    /// round: a round relocates all of its victims in one action, so every
-    /// victim of that round keeps its data and is retried by a later GC
-    /// pass.
+    /// pass: a pass relocates the victims of all of its rounds in one
+    /// action, so every one of them keeps its data and is retried by a
+    /// later pass.
     pub gc_relocation_aborts: u64,
     /// Log pages placed at a fallback forward-pointer candidate after the
     /// primary location failed to program (Section VIII-A's three

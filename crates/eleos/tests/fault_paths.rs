@@ -1,6 +1,6 @@
 //! Fault-path regression tests (Section VII): scripted single-fault
 //! sweeps over checkpointing and GC, program-failure and power-cut sweeps
-//! over one multi-victim GC round, probabilistic faults under churn, and
+//! over one multi-round GC pass, probabilistic faults under churn, and
 //! end-to-end bad-block retirement.
 //!
 //! The sweep tests inject exactly one program failure at *every* ordinal
@@ -157,13 +157,19 @@ fn single_fault_sweep_over_gc() {
     }
 }
 
-/// GC for every channel under 12 of its 16 free EBLOCKs, and one round per
-/// `maybe_gc` (a target of 0 is met after any round).
-fn round_cfg() -> EleosConfig {
+/// GC for every channel under 12 of its 16 free EBLOCKs, back up to 12
+/// (`target` is the free fraction each channel's rounds aim for).
+fn gc_cfg(target: f64) -> EleosConfig {
     let mut c = cfg();
     c.gc.free_watermark = 0.75;
-    c.gc.free_target = 0.0;
+    c.gc.free_target = target;
     c
+}
+
+/// One `maybe_gc` is a pass of several rounds: each round's victims are
+/// nearly full, so no channel reaches its target before it stalls.
+fn pass_cfg() -> EleosConfig {
+    gc_cfg(0.75)
 }
 
 fn locations(ssd: &mut Eleos, shadow: &Shadow) -> BTreeMap<u64, PhysAddr> {
@@ -173,42 +179,44 @@ fn locations(ssd: &mut Eleos, shadow: &Shadow) -> BTreeMap<u64, PhysAddr> {
         .collect()
 }
 
-/// A churned device whose next `maybe_gc` is one multi-victim round, its
-/// shadow, and every shadow LPID's address before that round. The churn
-/// runs under the default watermarks, which leave closed, part-dead
-/// EBLOCKs on every channel; the device is then reopened under
-/// [`round_cfg`], where every channel is under the watermark. Every caller
-/// takes the same deterministic path, so the rounds are identical up to
-/// the fault a caller arms.
-fn before_round() -> (Eleos, Shadow, BTreeMap<u64, PhysAddr>) {
+/// A churned device whose next `maybe_gc` runs with `config`, its shadow,
+/// and every shadow LPID's address before that call. The churn runs under
+/// the default watermarks, which leave closed, part-dead EBLOCKs on every
+/// channel; the device is then reopened under `config`, where every
+/// channel is under the watermark. Every caller takes the same
+/// deterministic path, so the passes are identical up to the fault a
+/// caller arms, and their first rounds are identical whatever the target.
+fn before_pass(config: EleosConfig) -> (Eleos, Shadow, BTreeMap<u64, PhysAddr>) {
     let mut ssd = Eleos::format(dev(), cfg()).unwrap();
     let mut shadow = Shadow::new();
     let mut v = 0u64;
     write_churn(&mut ssd, &mut shadow, &mut v, 120, 3);
-    let mut ssd = Eleos::recover(ssd.crash(), round_cfg()).unwrap();
+    let mut ssd = Eleos::recover(ssd.crash(), config).unwrap();
     let before = locations(&mut ssd, &shadow);
     (ssd, shadow, before)
 }
 
-/// What the fault-free round does.
-struct Round {
-    /// Victims in round order (ascending channel).
+/// What a fault-free `maybe_gc` under `config` does.
+struct Pass {
+    /// Victims, in address order.
     victims: Vec<EblockAddr>,
-    /// Where the round moves each relocated LPID.
+    /// Where the pass moves each relocated LPID.
     moved_to: BTreeMap<u64, PhysAddr>,
-    /// Program attempts the round issues.
+    /// Program attempts the pass issues.
     programs: u64,
-    /// Mutating flash commands (programs and erases) the round issues.
+    /// Mutating flash commands (programs and erases) the pass issues.
     mutations: u64,
 }
 
-fn fault_free_round() -> Round {
-    let (mut ssd, shadow, before) = before_round();
+fn fault_free_pass(config: EleosConfig) -> Pass {
+    let (mut ssd, shadow, before) = before_pass(config);
     let programs = ssd.device_mut().faults_mut().programs_seen();
     let s0 = ssd.device().stats().clone();
+    let commits = ssd.snapshot().eleos.commits;
     ssd.maybe_gc().unwrap();
     let s1 = ssd.device().stats().clone();
     let programs = ssd.device_mut().faults_mut().programs_seen() - programs;
+    assert_eq!(ssd.snapshot().eleos.commits - commits, 1, "one action");
     let moved_to: BTreeMap<u64, PhysAddr> = locations(&mut ssd, &shadow)
         .into_iter()
         .filter(|(lpid, at)| before[lpid] != *at)
@@ -216,17 +224,13 @@ fn fault_free_round() -> Round {
     let mut victims: Vec<EblockAddr> = moved_to.keys().map(|l| before[l].eblock_addr()).collect();
     victims.sort();
     victims.dedup();
-    assert!(
-        victims.len() >= 2 && victims.windows(2).all(|w| w[0].channel < w[1].channel),
-        "the round must relocate victims on distinct channels: {victims:?}"
-    );
     for (lpid, at) in &moved_to {
         assert_eq!(
             at.channel, before[lpid].channel,
             "lpid {lpid} stays on its channel"
         );
     }
-    Round {
+    Pass {
         victims,
         moved_to,
         programs,
@@ -234,28 +238,57 @@ fn fault_free_round() -> Round {
     }
 }
 
-/// One program failure at every program ordinal of a multi-victim GC
-/// round. The round is one system action, so a failure on a relocation
-/// WBLOCK of the *second* victim aborts the relocation of every victim:
-/// none is erased, every relocated LPID keeps its old address,
+/// The fault-free pass, checked to span several rounds on distinct
+/// channels, and the GC-bin EBLOCKs that only its later rounds fill
+/// (its first round is the whole of a target-0 pass).
+fn multi_round_pass() -> (Pass, Vec<EblockAddr>) {
+    let pass = fault_free_pass(pass_cfg());
+    let first = fault_free_pass(gc_cfg(0.0));
+    let channels: std::collections::BTreeSet<u32> =
+        first.victims.iter().map(|v| v.channel).collect();
+    assert!(
+        channels.len() >= 2 && channels.len() == first.victims.len(),
+        "the first round must collect victims on distinct channels: {:?}",
+        first.victims
+    );
+    assert!(
+        first.victims.iter().all(|v| pass.victims.contains(v))
+            && pass.victims.len() > first.victims.len(),
+        "the pass must run later rounds: {:?} then {:?}",
+        first.victims,
+        pass.victims
+    );
+    let bins = |later: bool| -> Vec<EblockAddr> {
+        pass.moved_to
+            .iter()
+            .filter(|(lpid, _)| first.moved_to.contains_key(lpid) != later)
+            .map(|(_, at)| at.eblock_addr())
+            .collect()
+    };
+    let first_bins = bins(false);
+    let mut later_bins: Vec<EblockAddr> = bins(true)
+        .into_iter()
+        .filter(|b| !first_bins.contains(b))
+        .collect();
+    later_bins.sort();
+    later_bins.dedup();
+    (pass, later_bins)
+}
+
+/// One program failure at every program ordinal of a multi-round GC pass.
+/// The pass is one system action, so a failure on a relocation WBLOCK of a
+/// *later round's* victim aborts the relocation of every victim of every
+/// round: none is erased, every relocated LPID keeps its old address,
 /// `gc_relocation_aborts` is 1, and the next `maybe_gc` completes. Every
 /// acknowledged page reads back before and after `crash()` + `recover()`.
 #[test]
-fn program_failure_in_a_multi_victim_gc_round_keeps_every_victim() {
-    let round = fault_free_round();
-    let second = round.victims[1];
-    // The GC-bin EBLOCKs the second victim's pages are relocated into.
-    let second_bins: Vec<EblockAddr> = round
-        .moved_to
-        .iter()
-        .filter(|(_, at)| at.channel == second.channel)
-        .map(|(_, at)| at.eblock_addr())
-        .collect();
-    let mut second_hits = 0;
-    for nth in 0..round.programs {
+fn program_failure_in_a_multi_round_gc_pass_keeps_every_victim() {
+    let (pass, later_bins) = multi_round_pass();
+    let mut later_hits = 0;
+    for nth in 0..pass.programs {
         let ctx = format!("nth={nth}");
-        let (mut ssd, shadow, before) = before_round();
-        let watched: Vec<EblockAddr> = round.victims.iter().chain(&second_bins).copied().collect();
+        let (mut ssd, shadow, before) = before_pass(pass_cfg());
+        let watched: Vec<EblockAddr> = pass.victims.iter().chain(&later_bins).copied().collect();
         let erases = |ssd: &Eleos| -> Vec<u32> {
             watched
                 .iter()
@@ -272,11 +305,11 @@ fn program_failure_in_a_multi_victim_gc_round_keeps_every_victim() {
             .collect();
         let aborts = ssd.snapshot().eleos.gc_relocation_aborts;
         if aborts > 0 {
-            assert_eq!(aborts, 1, "{ctx}: one abort for the round");
-            for (v, &gone) in round.victims.iter().zip(&erased) {
-                assert!(!gone, "{ctx}: victim {v:?} erased by an aborted round");
+            assert_eq!(aborts, 1, "{ctx}: one abort for the pass");
+            for (v, &gone) in pass.victims.iter().zip(&erased) {
+                assert!(!gone, "{ctx}: victim {v:?} erased by an aborted pass");
             }
-            for lpid in round.moved_to.keys() {
+            for lpid in pass.moved_to.keys() {
                 assert_eq!(
                     ssd.lpid_location(*lpid).unwrap(),
                     Some(before[lpid]),
@@ -284,33 +317,33 @@ fn program_failure_in_a_multi_victim_gc_round_keeps_every_victim() {
                 );
             }
             // A failed program poisons its EBLOCK, which is migrated and
-            // erased: the failure was in the second victim's GC bin.
-            second_hits += erased[round.victims.len()..].iter().any(|&e| e) as u32;
+            // erased: the failure was in a bin only later rounds fill.
+            later_hits += erased[pass.victims.len()..].iter().any(|&e| e) as u32;
         }
         audit(&mut ssd, &shadow, &format!("{ctx} post-gc"));
         ssd.maybe_gc().unwrap();
         audit(&mut ssd, &shadow, &format!("{ctx} next gc"));
 
         let flash = ssd.crash();
-        let mut ssd = Eleos::recover(flash, round_cfg()).unwrap();
+        let mut ssd = Eleos::recover(flash, pass_cfg()).unwrap();
         audit(&mut ssd, &shadow, &format!("{ctx} post-recovery"));
     }
     assert!(
-        second_hits > 0,
-        "no ordinal failed a relocation WBLOCK of the second victim"
+        later_hits > 0,
+        "no ordinal failed a relocation WBLOCK of a later round"
     );
 }
 
-/// Power lost after every mutating flash command of one multi-victim GC
-/// round: after `crash()` + `recover()` every acknowledged LPID reads back
-/// intact at either its address before the round or the one the round
-/// moves it to — the round's relocation commits for every victim or for
-/// none.
+/// Power lost after every mutating flash command of one multi-round GC
+/// pass: after `crash()` + `recover()` every acknowledged LPID reads back
+/// intact at either its address before the pass or the one the pass
+/// moves it to — the pass's relocation commits for every victim of every
+/// round or for none.
 #[test]
-fn power_cut_sweep_over_a_multi_victim_gc_round() {
-    let round = fault_free_round();
-    for cut in 0..=round.mutations {
-        let (mut ssd, shadow, before) = before_round();
+fn power_cut_sweep_over_a_multi_round_gc_pass() {
+    let (pass, _) = multi_round_pass();
+    for cut in 0..=pass.mutations {
+        let (mut ssd, shadow, before) = before_pass(pass_cfg());
         ssd.device_mut().set_power_cut_after(cut);
         match ssd.maybe_gc() {
             Ok(()) | Err(EleosError::Flash(FlashError::PowerLost)) | Err(EleosError::ShutDown) => {}
@@ -318,9 +351,9 @@ fn power_cut_sweep_over_a_multi_victim_gc_round() {
         }
         let mut flash = ssd.crash();
         flash.clear_power_cut();
-        let mut ssd = Eleos::recover(flash, round_cfg()).unwrap();
+        let mut ssd = Eleos::recover(flash, pass_cfg()).unwrap();
         let after = locations(&mut ssd, &shadow);
-        let moved: Vec<bool> = round
+        let moved: Vec<bool> = pass
             .moved_to
             .iter()
             .map(|(lpid, to)| {
@@ -335,10 +368,10 @@ fn power_cut_sweep_over_a_multi_victim_gc_round() {
             .collect();
         assert!(
             moved.iter().all(|&m| m) || moved.iter().all(|&m| !m),
-            "cut={cut}: the round committed for some victims only"
+            "cut={cut}: the pass committed for some victims only"
         );
         for (lpid, at) in &after {
-            if !round.moved_to.contains_key(lpid) {
+            if !pass.moved_to.contains_key(lpid) {
                 assert_eq!(*at, before[lpid], "cut={cut}: lpid {lpid} moved");
             }
         }

@@ -227,3 +227,54 @@ fn gc_round_robin_correct_and_overlapping() {
         assert_eq!(ssd.read(*lpid).unwrap(), *data, "post-recovery lpid {lpid}");
     }
 }
+
+/// Deterministic: on one channel, GC passes of several rounds each are
+/// still tick-identical with `defer_io` on and off. A watermark and target
+/// far above the floor keep the free list from running dry, so a pass
+/// relocates all of its rounds' victims in one action — the case the
+/// proptest's short scripts never reach.
+#[test]
+fn single_channel_multi_round_passes_are_tick_identical() {
+    let run = |defer_io: bool| {
+        let config = EleosConfig {
+            gc: eleos::GcConfig {
+                free_watermark: 0.5,
+                free_target: 0.75,
+                ..eleos::GcConfig::default()
+            },
+            ..cfg(defer_io)
+        };
+        let dev = FlashDevice::new(geo_1ch(), CostProfile::unit());
+        let mut ssd = Eleos::format(dev, config.clone()).unwrap();
+        // The most victims one pass relocated in one action.
+        let mut widest = 0;
+        for b in 0..300u64 {
+            if b == 150 {
+                ssd = Eleos::recover(ssd.crash(), config.clone()).unwrap();
+            }
+            let s0 = ssd.snapshot().eleos;
+            ssd.maybe_gc().unwrap();
+            let s1 = ssd.snapshot().eleos;
+            if s1.commits - s0.commits == 1 {
+                widest = widest.max(s1.gc_collections - s0.gc_collections);
+            }
+            let mut batch = WriteBatch::new(PageMode::Variable);
+            for k in 0..24u64 {
+                let lpid = (b * 37 + k * 101) % 1200;
+                let len = 600 + ((b + k) * 131 % 1400) as u16;
+                batch.put(lpid, &page_bytes(lpid, b as u8, len)).unwrap();
+            }
+            ssd.write(&batch, WriteOpts::default()).unwrap();
+        }
+        (ssd, widest)
+    };
+    let (serial, _) = run(false);
+    let (deferred, widest) = run(true);
+    assert_eq!(serial.now(), deferred.now(), "final clock tick diverged");
+    assert_eq!(serial.snapshot().eleos, deferred.snapshot().eleos);
+    assert_eq!(serial.device().stats(), deferred.device().stats());
+    assert!(
+        widest >= 3,
+        "no pass relocated 3 rounds in one action: {widest}"
+    );
+}

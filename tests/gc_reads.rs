@@ -22,7 +22,10 @@ const BATCH_BYTES: u32 = 1 << 20;
 const MAX_READ_PER_MOVED_BYTE: f64 = 1.5;
 /// GC relocation actions per victim collected. One action per victim comes
 /// to 1.0; one per round, with the 8 channels' free lists draining
-/// together, to well under it.
+/// together, to ≈ 0.57. A GC pass merges its rounds into one action only
+/// while each victim's channel keeps two free EBLOCKs, and here GC starts
+/// below two (the watermark), so every round still commits on its own. The
+/// merge is pinned by `eleos::gc`'s unit tests instead.
 const MAX_ACTIONS_PER_VICTIM: f64 = 0.75;
 
 /// 8 channels × 16 EBLOCKs × 32 WBLOCKs × 32 KB = 128 MB.
