@@ -8,10 +8,11 @@
 //! builder whose `freeze()` hands the accumulated buffer to a `Bytes`
 //! without copying.
 //!
-//! One deliberate extension over upstream: [`Bytes::try_join`] merges two
-//! slices that are adjacent views of the same backing allocation. The flash
-//! provisioning path uses it to recognise that consecutive batch entries are
-//! one contiguous region of the original write-batch buffer.
+//! One deliberate extension over upstream: [`Bytes::try_extend`] widens a
+//! slice over the next one when both are adjacent views of the same backing
+//! allocation. The flash provisioning path uses it to recognise that
+//! consecutive batch entries are one contiguous region of the original
+//! write-batch buffer.
 
 #![forbid(unsafe_code)]
 
@@ -68,20 +69,17 @@ impl Bytes {
         }
     }
 
-    /// Merge two slices that are adjacent views of the same allocation into
-    /// one wider view. Returns `None` when they are backed by different
-    /// allocations or are not contiguous. (Extension over upstream `bytes`;
-    /// used by the zero-copy provisioning path.)
-    pub fn try_join(&self, next: &Bytes) -> Option<Bytes> {
-        if Arc::ptr_eq(&self.data, &next.data) && self.end == next.start {
-            Some(Bytes {
-                data: Arc::clone(&self.data),
-                start: self.start,
-                end: next.end,
-            })
-        } else {
-            None
+    /// Widen this view over `next` in place if `next` is the adjacent view
+    /// of the same allocation. Returns whether it did; views backed by
+    /// different allocations or not contiguous are left as they were.
+    /// (Extension over upstream `bytes`; used by the zero-copy
+    /// provisioning path.)
+    pub fn try_extend(&mut self, next: &Bytes) -> bool {
+        let adjacent = Arc::ptr_eq(&self.data, &next.data) && self.end == next.start;
+        if adjacent {
+            self.end = next.end;
         }
+        adjacent
     }
 
     /// Copy this view out into an owned `Vec<u8>`.
@@ -376,17 +374,16 @@ mod tests {
     }
 
     #[test]
-    fn try_join_adjacent_views() {
+    fn try_extend_widens_in_place() {
         let b = Bytes::from(vec![0, 1, 2, 3, 4, 5, 6, 7]);
-        let lo = b.slice(0..3);
-        let hi = b.slice(3..8);
-        let joined = lo.try_join(&hi).expect("adjacent");
-        assert_eq!(joined, [0, 1, 2, 3, 4, 5, 6, 7]);
-        // Non-adjacent views refuse.
-        assert!(b.slice(0..2).try_join(&b.slice(3..4)).is_none());
-        // Different allocations refuse.
-        let other = Bytes::from(vec![9, 9]);
-        assert!(lo.try_join(&other).is_none());
+        let mut v = b.slice(1..3);
+        assert!(v.try_extend(&b.slice(3..5)));
+        assert!(v.try_extend(&b.slice(5..6)));
+        assert_eq!(v, [1, 2, 3, 4, 5]);
+        // A gap or another allocation leaves the view as it was.
+        assert!(!v.try_extend(&b.slice(7..8)));
+        assert!(!v.try_extend(&Bytes::from(vec![6])));
+        assert_eq!(v, [1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::provision::{encode_eblock_meta, ChannelState, OpenEblock};
 use crate::session::SessionTable;
 use crate::stats::EleosStats;
 use crate::summary::{EblockPurpose, EblockState, SummaryTable};
-use crate::types::{ActionId, ActionKind, Lpid, Lsn, PageKind, Sid, Usn, Wsn};
+use crate::types::{ActionId, ActionKind, IntHash, Lpid, Lsn, PageKind, Sid, Usn, Wsn};
 use crate::wal::{LogRecord, LogWriter, SealOutcome};
 use bytes::Bytes;
 use eleos_flash::{
@@ -22,7 +22,7 @@ use eleos_flash::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 /// Options for [`Eleos::write`] — the single write entry point.
 ///
@@ -1033,13 +1033,17 @@ impl Eleos {
     pub(crate) fn log_append(&mut self, rec: &LogRecord) -> Result<Lsn> {
         // All log I/O — seals, forces, standby top-ups triggered by a seal
         // — attributes to the WAL regardless of what action appended.
-        self.with_activity(Activity::Wal, |this| {
-            let (lsn, outcome) = this.wal.append(rec, &mut this.dev)?;
-            if let Some(o) = outcome {
-                this.after_seal(&o)?;
-            }
-            Ok(lsn)
-        })
+        self.with_activity(Activity::Wal, |this| this.wal_append(rec))
+    }
+
+    /// [`Eleos::log_append`] inside the caller's WAL activity scope, so a
+    /// run of records pays for one scope.
+    fn wal_append(&mut self, rec: &LogRecord) -> Result<Lsn> {
+        let (lsn, outcome) = self.wal.append(rec, &mut self.dev)?;
+        if let Some(o) = outcome {
+            self.after_seal(&o)?;
+        }
+        Ok(lsn)
     }
 
     pub(crate) fn log_force(&mut self) -> Result<Nanos> {
@@ -1116,16 +1120,10 @@ impl Eleos {
                     // entered the log chain (rebuilt by the recovery scan)
                     // or stays empty and is re-freed by the open-EBLOCK
                     // fixup.
-                    let (_, outcome) = self.wal.append(
-                        &LogRecord::LogStandby {
-                            channel: eb.channel,
-                            eblock: eb.eblock,
-                        },
-                        &mut self.dev,
-                    )?;
-                    if let Some(o) = outcome {
-                        self.after_seal(&o)?;
-                    }
+                    self.wal_append(&LogRecord::LogStandby {
+                        channel: eb.channel,
+                        eblock: eb.eblock,
+                    })?;
                 }
                 Err(EleosError::DeviceFull) => break, // degrade to fewer fallbacks
                 Err(e) => return Err(e),
@@ -1268,30 +1266,33 @@ impl Eleos {
         let id = self.next_action;
         self.next_action += 1;
 
-        // ---- initialization: log records ----
-        let mut first_lsn = 0;
-        for (i, p) in pages.iter().enumerate() {
-            let lsn = self.log_append(&LogRecord::Write {
-                action: id,
-                akind,
-                lpid: p.lpid,
-                new_addr: plan.addrs[i].pack(),
-                old_addr: p.old_addr,
-            })?;
-            if i == 0 {
-                first_lsn = lsn;
-                self.active_first_lsn.insert(id, lsn);
+        // ---- initialization: log records, in one WAL scope ----
+        let first_lsn = self.with_activity(Activity::Wal, |this| {
+            let mut first_lsn = 0;
+            for (i, (p, addr)) in pages.iter().zip(&plan.addrs).enumerate() {
+                let lsn = this.wal_append(&LogRecord::Write {
+                    action: id,
+                    akind,
+                    lpid: p.lpid,
+                    new_addr: addr.pack(),
+                    old_addr: p.old_addr,
+                })?;
+                if i == 0 {
+                    first_lsn = lsn;
+                    this.active_first_lsn.insert(id, lsn);
+                }
             }
-        }
-        for c in &plan.closes {
-            self.log_append(&LogRecord::CloseEblock {
-                channel: c.addr.channel,
-                eblock: c.addr.eblock,
-                ts: c.ts,
-                data_wblocks: c.data_wblocks,
-                meta_wblocks: c.meta_wblocks,
-            })?;
-        }
+            for c in &plan.closes {
+                this.wal_append(&LogRecord::CloseEblock {
+                    channel: c.addr.channel,
+                    eblock: c.addr.eblock,
+                    ts: c.ts,
+                    data_wblocks: c.data_wblocks,
+                    meta_wblocks: c.meta_wblocks,
+                })?;
+            }
+            Ok(first_lsn)
+        })?;
 
         // ---- execution phase: transfer data to the storage media ----
         // One batched submission, programmed in input order without moving
@@ -1330,11 +1331,10 @@ impl Eleos {
         self.dev.cpu(profile.commit_force_ns);
 
         let mut relocations_aborted = 0;
-        for (i, p) in pages.iter().enumerate() {
-            let new_packed = plan.addrs[i].pack();
-            match akind {
-                ActionKind::User | ActionKind::Ckpt => {
-                    let old = self.install_unconditional(p.kind, p.lpid, new_packed, first_lsn)?;
+        match akind {
+            ActionKind::User | ActionKind::Ckpt => {
+                for (p, na) in pages.iter().zip(&plan.addrs) {
+                    let old = self.install_unconditional(p.kind, p.lpid, na.pack(), first_lsn)?;
                     if old != NULL_PADDR {
                         let lsn = self.log_append(&LogRecord::OldAddr {
                             action: id,
@@ -1347,7 +1347,10 @@ impl Eleos {
                         }
                     }
                 }
-                ActionKind::Gc | ActionKind::Migrate => {
+            }
+            ActionKind::Gc | ActionKind::Migrate => {
+                for (p, na) in pages.iter().zip(&plan.addrs) {
+                    let new_packed = na.pack();
                     let installed =
                         self.install_conditional(p.kind, p.lpid, p.old_addr, new_packed, first_lsn)?;
                     if installed {
@@ -1361,7 +1364,6 @@ impl Eleos {
                             lpid: p.lpid,
                             new_addr: new_packed,
                         })?;
-                        let na = plan.addrs[i];
                         self.summary
                             .update(na.eblock_addr(), lsn, |d| d.avail += na.len);
                         relocations_aborted += 1;
@@ -1600,56 +1602,10 @@ impl Eleos {
                 self.summary.update(ob.addr, lsn, |d| d.avail += frag);
             }
             // The region bytes are exactly the concatenation of the page
-            // views (pages pack back-to-back from `start`). Coalesce
-            // adjacent views first: user pages are consecutive slices of
-            // one batch buffer, so a whole batch chunk usually collapses to
-            // a single segment and full WBLOCKs become zero-copy slices of
-            // it. Only the zero-padded tail WBLOCK (and any read-assembled
-            // GC pages) need assembly.
-            let region_len = (cur - start) as usize;
-            let mut segs: Vec<Bytes> = Vec::new();
-            for page in &pages[first_in_region..i] {
-                let b = page.bytes.clone();
-                match segs.last_mut().and_then(|last| last.try_join(&b)) {
-                    Some(joined) => *segs.last_mut().unwrap() = joined,
-                    None => segs.push(b),
-                }
-            }
+            // views (pages pack back-to-back from `start`).
             let wb = geo.wblock_bytes as usize;
-            let first_wblock = (start / wb as u64) as u32;
-            let n_wblocks = region_len.div_ceil(wb);
-            let (mut seg_idx, mut seg_off) = (0usize, 0usize);
-            for k in 0..n_wblocks {
-                let want = wb.min(region_len - k * wb);
-                let buf: Bytes = if want == wb && segs[seg_idx].len() - seg_off >= wb {
-                    let b = segs[seg_idx].slice(seg_off..seg_off + wb);
-                    seg_off += wb;
-                    b
-                } else {
-                    let mut v = Vec::with_capacity(wb);
-                    let mut need = want;
-                    while need > 0 {
-                        let take = (segs[seg_idx].len() - seg_off).min(need);
-                        v.extend_from_slice(&segs[seg_idx][seg_off..seg_off + take]);
-                        seg_off += take;
-                        need -= take;
-                        if seg_off == segs[seg_idx].len() {
-                            seg_idx += 1;
-                            seg_off = 0;
-                        }
-                    }
-                    v.resize(wb, 0);
-                    Bytes::from(v)
-                };
-                if seg_idx < segs.len() && seg_off == segs[seg_idx].len() {
-                    seg_idx += 1;
-                    seg_off = 0;
-                }
-                plan.ios.push((
-                    WblockAddr::new(channel, ob.addr.eblock, first_wblock + k as u32),
-                    buf,
-                ));
-            }
+            let first = WblockAddr::new(channel, ob.addr.eblock, (start / wb as u64) as u32);
+            push_wblocks(&pages[first_in_region..i], first, wb, &mut plan.ios);
             plan.touched.push((ob.addr, start, ob.frontier));
             // Close if the EBLOCK can no longer accept even a minimal page.
             if !ob.can_accept(64, 1, &geo) {
@@ -1983,12 +1939,14 @@ impl Eleos {
         eb: EblockAddr,
         meta: &[(PageKind, Lpid)],
     ) -> Result<Vec<ActionPage>> {
-        let (valid, tickets) = self.scan_valid_pages_submit(eb, meta)?;
+        let mut valid = Vec::new();
+        let tickets = self.scan_valid_pages_submit(eb, meta, &mut valid)?;
         self.dev.clock_mut().wait_all(&tickets);
         Ok(valid)
     }
 
-    /// Validity scan with deferred completion. The lookups run first, all
+    /// Validity scan with deferred completion, appending the valid pages to
+    /// `valid` in oldest-to-newest write order. The lookups run first, all
     /// of them, so mapping faults keep their serial order; the valid
     /// entries' data is then read as RBLOCK runs
     /// ([`crate::gc::read_in_rblock_runs`]), so an RBLOCK shared by several
@@ -2000,9 +1958,11 @@ impl Eleos {
         &mut self,
         eb: EblockAddr,
         meta: &[(PageKind, Lpid)],
-    ) -> Result<(Vec<ActionPage>, Vec<IoTicket>)> {
+        valid: &mut Vec<ActionPage>,
+    ) -> Result<Vec<IoTicket>> {
         let mut found: Vec<(Lpid, PageKind, u64, ByteExtent)> = Vec::new();
-        let mut seen: std::collections::HashSet<Lpid> = std::collections::HashSet::new();
+        let mut seen: HashSet<Lpid, IntHash> =
+            HashSet::with_capacity_and_hasher(meta.len(), IntHash::default());
         for &(kind, lpid) in meta.iter().rev() {
             if !seen.insert(lpid) {
                 continue; // obsolete older version of an LPID already seen
@@ -2023,17 +1983,18 @@ impl Eleos {
             self.dev.clock_mut().wait_all(&tickets);
             tickets.clear();
         }
-        let valid = found
-            .into_iter()
-            .zip(pages)
-            .map(|((lpid, kind, old_addr, _), bytes)| ActionPage {
-                lpid,
-                kind,
-                bytes,
-                old_addr,
-            })
-            .collect();
-        Ok((valid, tickets))
+        valid.extend(
+            found
+                .into_iter()
+                .zip(pages)
+                .map(|((lpid, kind, old_addr, _), bytes)| ActionPage {
+                    lpid,
+                    kind,
+                    bytes,
+                    old_addr,
+                }),
+        );
+        Ok(tickets)
     }
 
     /// Erase an EBLOCK, reset its descriptor and return it to the free
@@ -2134,5 +2095,52 @@ impl Eleos {
             .tail(n)
             .map(|e| e.to_string())
             .collect()
+    }
+}
+
+/// Push the programs of a region whose `pages` pack back-to-back from the
+/// start of WBLOCK `first`, the last one zero-padded. Pages that are
+/// adjacent views of one buffer are taken as one chunk: a user batch chunk
+/// is usually one slice of the batch buffer, so its full WBLOCKs become
+/// zero-copy slices of it, and a GC victim's consecutive live pages are
+/// copied with one copy.
+fn push_wblocks(
+    pages: &[ActionPage],
+    first: WblockAddr,
+    wb: usize,
+    ios: &mut Vec<(WblockAddr, Bytes)>,
+) {
+    let mut at = first;
+    let mut buf: Vec<u8> = Vec::new();
+    let mut i = 0;
+    while i < pages.len() {
+        let mut chunk = pages[i].bytes.clone();
+        i += 1;
+        while i < pages.len() && chunk.try_extend(&pages[i].bytes) {
+            i += 1;
+        }
+        let mut off = 0;
+        while off < chunk.len() {
+            if buf.is_empty() && chunk.len() - off >= wb {
+                ios.push((at, chunk.slice(off..off + wb)));
+                off += wb;
+            } else {
+                if buf.is_empty() {
+                    buf.reserve_exact(wb);
+                }
+                let take = (chunk.len() - off).min(wb - buf.len());
+                buf.extend_from_slice(&chunk[off..off + take]);
+                off += take;
+                if buf.len() < wb {
+                    continue;
+                }
+                ios.push((at, Bytes::from(std::mem::take(&mut buf))));
+            }
+            at.wblock += 1;
+        }
+    }
+    if !buf.is_empty() {
+        buf.resize(wb, 0);
+        ios.push((at, Bytes::from(buf)));
     }
 }

@@ -391,34 +391,35 @@ impl Eleos {
             };
             preps.push((victim, ts, m.entries));
         }
-        // Phase 2: validity scans; RBLOCK-run reads submitted per victim,
-        // one collective wait so victim channels overlap.
-        let mut scans: Vec<Vec<ActionPage>> = Vec::with_capacity(preps.len());
+        // Phase 2: validity scans, appending each victim's live pages to the
+        // pass's pages in victim order; RBLOCK-run reads submitted per
+        // victim, one collective wait so victim channels overlap.
+        let first = pass.pages.len();
+        let mut ends: Vec<usize> = Vec::with_capacity(preps.len());
         let mut waits: Vec<IoTicket> = Vec::new();
         for (victim, _, entries) in &preps {
-            let (valid, tickets) = self.scan_valid_pages_submit(*victim, entries)?;
-            waits.extend(tickets);
-            scans.push(valid);
+            waits.extend(self.scan_valid_pages_submit(*victim, entries, &mut pass.pages)?);
+            ends.push(pass.pages.len());
         }
         self.dev.clock_mut().wait_all(&waits);
-        // Phase 3: the victims' live pages join the pass's pages in victim
-        // order and are provisioned now, so later rounds see the cursors,
-        // free lists and `usn` this round leaves.
-        let first = pass.pages.len();
-        let mut segs: Vec<Segment> = Vec::with_capacity(scans.len());
-        for ((victim, ts, _), valid) in preps.iter().zip(scans) {
-            if valid.is_empty() {
-                continue;
+        // Phase 3: the victims' live pages are provisioned now, one segment
+        // per victim, so later rounds see the cursors, free lists and `usn`
+        // this round leaves.
+        let mut segs: Vec<Segment> = Vec::with_capacity(preps.len());
+        let mut start = first;
+        for ((victim, ts, _), end) in preps.iter().zip(ends) {
+            if end > start {
+                let moved = &pass.pages[start..end];
+                self.stats.gc_moved_pages += moved.len() as u64;
+                self.stats.gc_moved_bytes +=
+                    moved.iter().map(|p| p.bytes.len() as u64).sum::<u64>();
+                let dest = Dest::GcBin {
+                    victim_channel: victim.channel,
+                    victim_ts: *ts,
+                };
+                segs.push((start..end, dest));
             }
-            self.stats.gc_moved_pages += valid.len() as u64;
-            self.stats.gc_moved_bytes += valid.iter().map(|p| p.bytes.len() as u64).sum::<u64>();
-            let start = pass.pages.len();
-            pass.pages.extend(valid);
-            let dest = Dest::GcBin {
-                victim_channel: victim.channel,
-                victim_ts: *ts,
-            };
-            segs.push((start..pass.pages.len(), dest));
+            start = end;
         }
         let moved = (pass.pages.len() - first) as u64;
         if moved > 0 {

@@ -13,13 +13,15 @@ use crate::batch::{decode_stored_header, ENTRY_HEADER};
 use crate::config::MapCachePolicy;
 use crate::error::{EleosError, Result};
 use crate::phys::{PhysAddr, NULL_PADDR};
-use crate::types::{Lpid, Lsn, PageKind, MAP_PAGE_BASE};
+use crate::types::{IntHash, Lpid, Lsn, PageKind, MAP_PAGE_BASE};
 use eleos_flash::{Activity, FlashDevice};
 use std::collections::HashMap;
 
 /// One cached mapping page.
 #[derive(Debug, Clone)]
 struct CachedPage {
+    /// The mapping page held.
+    page: u32,
     /// Packed physical addresses, one per LPID slot.
     entries: Vec<u64>,
     dirty: bool,
@@ -57,7 +59,11 @@ pub struct MappingTable {
     small: Vec<u64>,
     /// Level 3: packed flash address of each small-table page.
     tiny: Vec<u64>,
-    cache: HashMap<u32, CachedPage>,
+    /// Resident pages, packed in no particular order, so LRU's victim
+    /// search walks a dense vector.
+    slots: Vec<CachedPage>,
+    /// Slot of each resident page.
+    index: HashMap<u32, usize, IntHash>,
     /// Resident pages in insertion order — the CLOCK ring. Maintained for
     /// every policy so the hand's sweep never depends on hash-map
     /// iteration order.
@@ -85,7 +91,8 @@ impl MappingTable {
             policy,
             small: vec![NULL_PADDR; n_pages],
             tiny: vec![NULL_PADDR; n_small],
-            cache: HashMap::new(),
+            slots: Vec::new(),
+            index: HashMap::default(),
             ring: Vec::new(),
             hand: 0,
             tick: 0,
@@ -124,18 +131,27 @@ impl MappingTable {
         Ok(())
     }
 
-    /// Load a mapping page into the cache (reading flash on a miss).
-    /// Demand-fault flash reads are attributed to [`Activity::MapIo`].
+    /// Load a mapping page into the cache (reading flash on a miss). A hit
+    /// is one hash probe.
     fn load_page(&mut self, page: u32, dev: &mut FlashDevice) -> Result<&mut CachedPage> {
         self.tick += 1;
-        let tick = self.tick;
-        if self.cache.contains_key(&page) {
-            self.stats.hits += 1;
-            let p = self.cache.get_mut(&page).unwrap();
-            p.last_used = tick;
-            p.referenced = true;
-            return Ok(p);
-        }
+        let slot = match self.index.get(&page) {
+            Some(&slot) => {
+                self.stats.hits += 1;
+                slot
+            }
+            None => self.fault_in(page, dev)?,
+        };
+        let p = &mut self.slots[slot];
+        p.last_used = self.tick;
+        p.referenced = true;
+        Ok(p)
+    }
+
+    /// Demand-load an absent mapping page into a new slot, evicting first
+    /// if the cache is full. Flash reads are attributed to
+    /// [`Activity::MapIo`].
+    fn fault_in(&mut self, page: u32, dev: &mut FlashDevice) -> Result<usize> {
         self.stats.misses += 1;
         self.maybe_evict_clean();
         let entries = match PhysAddr::unpack(self.small[page as usize]) {
@@ -154,23 +170,28 @@ impl MappingTable {
                     .ok_or(EleosError::Corrupt("mapping page payload"))?
             }
         };
-        self.cache.insert(
+        let slot = self.slots.len();
+        self.slots.push(CachedPage {
             page,
-            CachedPage {
-                entries,
-                dirty: false,
-                rec_lsn: 0,
-                last_used: tick,
-                referenced: true,
-            },
-        );
+            entries,
+            dirty: false,
+            rec_lsn: 0,
+            last_used: 0,
+            referenced: true,
+        });
+        self.index.insert(page, slot);
         self.ring.push(page);
-        Ok(self.cache.get_mut(&page).unwrap())
+        Ok(slot)
     }
 
     /// Drop one resident page and keep the ring / hand consistent.
     fn evict(&mut self, page: u32) {
-        self.cache.remove(&page);
+        if let Some(slot) = self.index.remove(&page) {
+            self.slots.swap_remove(slot);
+            if let Some(moved) = self.slots.get(slot) {
+                self.index.insert(moved.page, slot);
+            }
+        }
         if let Some(pos) = self.ring.iter().position(|&p| p == page) {
             self.ring.remove(pos);
             if self.hand > pos {
@@ -192,13 +213,13 @@ impl MappingTable {
         match self.policy {
             MapCachePolicy::Unbounded => {}
             MapCachePolicy::Lru => {
-                while self.cache.len() >= self.max_cache {
+                while self.slots.len() >= self.max_cache {
                     let victim = self
-                        .cache
+                        .slots
                         .iter()
-                        .filter(|(_, p)| !p.dirty)
-                        .min_by_key(|(_, p)| p.last_used)
-                        .map(|(&k, _)| k);
+                        .filter(|p| !p.dirty)
+                        .min_by_key(|p| p.last_used)
+                        .map(|p| p.page);
                     match victim {
                         Some(k) => self.evict(k),
                         None => break, // all dirty; allow temporary overflow
@@ -206,14 +227,14 @@ impl MappingTable {
                 }
             }
             MapCachePolicy::Clock => {
-                while self.cache.len() >= self.max_cache {
+                while self.slots.len() >= self.max_cache {
                     // Two sweeps: the first clears reference bits, the
                     // second then finds any clean unreferenced page. If
                     // neither evicts, every resident page is dirty.
                     let mut evicted = false;
                     for _ in 0..2 * self.ring.len() {
                         let page = self.ring[self.hand];
-                        let p = self.cache.get_mut(&page).unwrap();
+                        let p = &mut self.slots[self.index[&page]];
                         if p.dirty {
                             self.hand = (self.hand + 1) % self.ring.len();
                         } else if p.referenced {
@@ -236,7 +257,7 @@ impl MappingTable {
     /// True when the cache exceeds its bound with dirty pages (the
     /// controller should flush some). Never true for an unbounded cache.
     pub fn overfull(&self) -> bool {
-        self.policy != MapCachePolicy::Unbounded && self.cache.len() > self.max_cache
+        self.policy != MapCachePolicy::Unbounded && self.slots.len() > self.max_cache
     }
 
     /// Observational cache counters.
@@ -297,10 +318,10 @@ impl MappingTable {
     /// Dirty mapping pages (for checkpoint flushing).
     pub fn dirty_pages(&self) -> Vec<u32> {
         let mut v: Vec<u32> = self
-            .cache
+            .slots
             .iter()
-            .filter(|(_, p)| p.dirty)
-            .map(|(&k, _)| k)
+            .filter(|p| p.dirty)
+            .map(|p| p.page)
             .collect();
         v.sort_unstable();
         v
@@ -308,8 +329,8 @@ impl MappingTable {
 
     /// Truncation factor (2): smallest rec LSN across dirty pages.
     pub fn min_rec_lsn(&self) -> Option<Lsn> {
-        self.cache
-            .values()
+        self.slots
+            .iter()
             .filter(|p| p.dirty)
             .map(|p| p.rec_lsn)
             .min()
@@ -330,7 +351,8 @@ impl MappingTable {
     /// small table and cleans the cache entry).
     pub fn mark_page_flushed(&mut self, page: u32, packed_addr: u64) {
         self.small[page as usize] = packed_addr;
-        if let Some(p) = self.cache.get_mut(&page) {
+        if let Some(&slot) = self.index.get(&page) {
+            let p = &mut self.slots[slot];
             p.dirty = false;
             p.rec_lsn = 0;
         }
@@ -396,14 +418,15 @@ impl MappingTable {
 
     /// Drop the entire cache (crash simulation support in tests).
     pub fn clear_cache(&mut self) {
-        self.cache.clear();
+        self.slots.clear();
+        self.index.clear();
         self.ring.clear();
         self.hand = 0;
     }
 
     /// Number of cached pages (test introspection).
     pub fn cached_pages(&self) -> usize {
-        self.cache.len()
+        self.slots.len()
     }
 }
 
@@ -569,6 +592,81 @@ mod tests {
         m.get(1, &mut d).unwrap(); // hit (same page)
         let s = m.cache_stats();
         assert_eq!((s.misses, s.hits, s.flash_loads), (1, 1, 0));
+    }
+
+    /// The pages each access of a scripted mix evicts, in access order, and
+    /// the final hit and miss counts. The script runs 12 mapping pages
+    /// through a 4-page cache: reads skewed to pages 0-4, writes that pin
+    /// pages dirty, and every tenth step a checkpoint that cleans them.
+    fn eviction_trace(policy: MapCachePolicy) -> (Vec<u32>, u64, u64) {
+        let mut m = MappingTable::new(16 * 12 - 1, 16, 4, policy);
+        let mut d = dev();
+        let resident = |m: &MappingTable| -> Vec<u32> {
+            let mut v: Vec<u32> = m.slots.iter().map(|p| p.page).collect();
+            v.sort_unstable();
+            v
+        };
+        let mut evicted = Vec::new();
+        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+        for step in 0..120 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let r = x >> 33;
+            let page = if r.is_multiple_of(3) {
+                r / 3 % 12
+            } else {
+                r / 3 % 5
+            };
+            let lpid = page * 16 + r % 16;
+            let before = resident(&m);
+            if r.is_multiple_of(7) {
+                m.set(lpid, addr(64 * step, 64).pack(), step, &mut d)
+                    .unwrap();
+            } else {
+                m.get(lpid, &mut d).unwrap();
+            }
+            let after = resident(&m);
+            evicted.extend(before.iter().filter(|p| !after.contains(p)));
+            if step % 10 == 9 {
+                // A checkpoint: flushed pages come back all-unmapped, which
+                // is all the replacement order needs.
+                for p in m.dirty_pages() {
+                    m.mark_page_flushed(p, NULL_PADDR);
+                }
+            }
+        }
+        let s = m.cache_stats();
+        assert_eq!(s.evictions, evicted.len() as u64);
+        (evicted, s.hits, s.misses)
+    }
+
+    #[test]
+    fn lru_eviction_order_is_pinned() {
+        let (evicted, hits, misses) = eviction_trace(MapCachePolicy::Lru);
+        assert_eq!(
+            evicted,
+            [
+                9, 5, 3, 11, 4, 1, 7, 3, 10, 1, 0, 10, 2, 0, 3, 2, 1, 7, 3, 1, 2, 4, 8, 0, 10, 4,
+                6, 4, 3, 2, 0, 7, 4, 1, 3, 6, 11, 5, 2, 4, 1, 9, 3, 8, 1, 0, 3, 2, 4, 10, 6, 7, 1,
+                2, 4, 3, 6, 0, 8, 4
+            ]
+        );
+        assert_eq!((hits, misses), (56, 64));
+    }
+
+    #[test]
+    fn clock_eviction_order_is_pinned() {
+        let (evicted, hits, misses) = eviction_trace(MapCachePolicy::Clock);
+        assert_eq!(
+            evicted,
+            [
+                3, 9, 5, 11, 4, 1, 3, 7, 10, 4, 2, 0, 10, 2, 0, 3, 2, 1, 4, 7, 3, 1, 2, 4, 8, 10,
+                4, 6, 2, 0, 4, 7, 3, 1, 6, 11, 4, 5, 1, 9, 3, 8, 1, 0, 4, 10, 6, 7, 1, 4, 2, 3, 6,
+                0, 8, 1
+            ]
+        );
+        assert_eq!((hits, misses), (60, 60));
     }
 
     #[test]

@@ -108,6 +108,58 @@ pub enum ActionKind {
     Migrate,
 }
 
+/// `HashMap` / `HashSet` state for integer keys (LPIDs, translation-page
+/// numbers): one multiply per key where the std default runs SipHash.
+/// The multiplier is odd and drawn at random per table, as `RandomState`
+/// draws its keys, so clients cannot choose LPIDs that collide. No caller
+/// depends on a table's iteration order — they sort, or take a unique
+/// minimum — so the hasher moves host time only, never the simulation.
+#[derive(Debug, Clone)]
+pub(crate) struct IntHash(u64);
+
+impl Default for IntHash {
+    fn default() -> Self {
+        use std::hash::BuildHasher;
+        IntHash(std::collections::hash_map::RandomState::new().hash_one(0u64) | 1)
+    }
+}
+
+impl std::hash::BuildHasher for IntHash {
+    type Hasher = IntHasher;
+
+    fn build_hasher(&self) -> IntHasher {
+        IntHasher { mul: self.0, h: 0 }
+    }
+}
+
+/// The hasher [`IntHash`] builds.
+pub(crate) struct IntHasher {
+    mul: u64,
+    h: u64,
+}
+
+impl std::hash::Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b.into());
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.h = (self.h ^ n).wrapping_mul(self.mul);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's high bits are its best mixed; tables index buckets
+        // by the low ones.
+        self.h.rotate_left(26)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -195,23 +195,28 @@ impl LogWriter {
     /// Append a record; seals the current page first if the record would
     /// not fit. Returns the record's LSN and the seal outcome if one
     /// happened.
+    ///
+    /// The record is encoded straight into the page being built. If that
+    /// overflows the page, the record is split off, the records before it
+    /// are sealed, and it opens the next page.
     pub fn append(
         &mut self,
         rec: &LogRecord,
         dev: &mut FlashDevice,
     ) -> Result<(Lsn, Option<SealOutcome>)> {
-        let mut buf = Vec::with_capacity(64);
-        rec.encode(&mut buf);
+        let start = self.pending.len();
+        rec.encode(&mut self.pending);
         let mut outcome = None;
-        if self.pending.len() + buf.len() > Self::page_capacity(dev) {
+        if self.pending.len() > Self::page_capacity(dev) {
+            let record = self.pending.split_off(start);
             outcome = Some(self.seal(dev)?);
+            self.pending.extend_from_slice(&record);
         }
         let lsn = self.next_lsn;
         self.next_lsn += 1;
         if self.pending_count == 0 {
             self.pending_first_lsn = lsn;
         }
-        self.pending.extend_from_slice(&buf);
         self.pending_count += 1;
         Ok((lsn, outcome))
     }
@@ -515,6 +520,49 @@ mod tests {
         w.force(&mut d).unwrap();
         let scan = LogWriter::scan(&mut d, &[WblockAddr::new(0, 2, 0)], 0, 1);
         assert_eq!(scan.records.len(), 5000);
+    }
+
+    /// Records are encoded in place into the page being built. The record
+    /// that overflows a page seals the records before it as one page —
+    /// byte for byte their reference encodings — and opens the next page.
+    #[test]
+    fn an_overflowing_record_opens_the_next_page() {
+        let mut d = dev();
+        let mut w = LogWriter::fresh(EblockAddr::new(0, 2));
+        let cap = LogWriter::page_capacity(&d);
+        let record = |i: u64| match i % 3 {
+            0 => LogRecord::Done { action: i },
+            _ => LogRecord::Write {
+                action: i,
+                akind: crate::types::ActionKind::Gc,
+                lpid: i * 7,
+                new_addr: i << 20,
+                old_addr: !i,
+            },
+        };
+        let mut page = Vec::new();
+        for i in 0.. {
+            let rec = record(i);
+            let mut enc = Vec::new();
+            rec.encode(&mut enc);
+            let (lsn, sealed) = w.append(&rec, &mut d).unwrap();
+            assert_eq!(lsn, i + 1);
+            let Some(o) = sealed else {
+                page.extend_from_slice(&enc);
+                assert_eq!(w.pending, page);
+                continue;
+            };
+            assert!(page.len() <= cap && page.len() + enc.len() > cap);
+            assert_eq!((o.first_lsn, o.last_lsn), (1, lsn - 1));
+            let (bytes, _) = d.read_wblocks(o.addr.eblock, o.addr.wblock, 1).unwrap();
+            let (seq, first_lsn, count, _, payload) = decode_page(&bytes).unwrap();
+            assert_eq!((seq, first_lsn, count as u64), (0, 1, lsn - 1));
+            assert_eq!(payload, &page[..]);
+            assert!(bytes[HEADER_BYTES + page.len()..].iter().all(|&b| b == 0));
+            assert_eq!((w.pending_first_lsn(), w.pending_count), (lsn, 1));
+            assert_eq!(w.pending, enc);
+            break;
+        }
     }
 
     #[test]

@@ -248,31 +248,46 @@ impl FlashDevice {
     ///
     /// Returns `(bytes, completion_time)`.
     pub fn read_extent(&mut self, ext: ByteExtent) -> Result<(Bytes, Nanos)> {
+        self.check_readable(ext)?;
+        Ok(self.read_checked(ext))
+    }
+
+    /// Fail unless `ext` is in bounds and every RBLOCK it covers is
+    /// programmed.
+    fn check_readable(&self, ext: ByteExtent) -> Result<()> {
         if !ext.in_bounds(&self.geo) {
             return Err(FlashError::OutOfBounds);
         }
-        let geo = self.geo;
-        let first = ext.first_rblock(&geo);
-        let count = ext.rblock_count(&geo);
-        {
-            let eb = self.eb(ext.eblock)?;
-            for r in first..first + count {
-                if !eb.rblock_programmed(&geo, r) {
-                    return Err(FlashError::ReadUnwritten {
-                        eblock: ext.eblock,
-                        rblock: r,
-                    });
-                }
-            }
+        let first = ext.first_rblock(&self.geo);
+        let count = ext.rblock_count(&self.geo);
+        // WBLOCKs program in order, so the programmed RBLOCKs are a prefix:
+        // the last one covered decides.
+        let eb = self.eb(ext.eblock)?;
+        if count > 0 && !eb.rblock_programmed(&self.geo, first + count - 1) {
+            let programmed = eb.programmed_wblocks() * self.geo.rblocks_per_wblock();
+            return Err(FlashError::ReadUnwritten {
+                eblock: ext.eblock,
+                rblock: first.max(programmed),
+            });
         }
+        Ok(())
+    }
+
+    /// [`FlashDevice::read_extent`] of an extent that passed
+    /// [`FlashDevice::check_readable`].
+    fn read_checked(&mut self, ext: ByteExtent) -> (Bytes, Nanos) {
+        let geo = self.geo;
+        let count = ext.rblock_count(&geo);
         let duration = self.profile.read_duration(count, geo.rblock_bytes);
         let done = self.submit(ext.eblock.channel, FlashOp::Read, duration);
-        let out = self
-            .eb(ext.eblock)?
-            .read_bytes(&geo, ext.offset as usize, ext.len as usize);
+        let out = self.blocks[ext.eblock.channel as usize][ext.eblock.eblock as usize].read_bytes(
+            &geo,
+            ext.offset as usize,
+            ext.len as usize,
+        );
         self.stats.rblock_reads += count as u64;
         self.stats.bytes_read += count as u64 * geo.rblock_bytes as u64;
-        Ok((out, done))
+        (out, done)
     }
 
     /// Submit a batch of extent reads without blocking the CPU: the deferred
@@ -286,30 +301,17 @@ impl FlashDevice {
     /// All extents are validated before anything is submitted, so a failed
     /// call leaves the clock and the counters untouched.
     pub fn read_extents_async(&mut self, exts: &[ByteExtent]) -> Result<Vec<(Bytes, IoTicket)>> {
-        let geo = self.geo;
         for ext in exts {
-            if !ext.in_bounds(&geo) {
-                return Err(FlashError::OutOfBounds);
-            }
-            let first = ext.first_rblock(&geo);
-            let count = ext.rblock_count(&geo);
-            let eb = self.eb(ext.eblock)?;
-            for r in first..first + count {
-                if !eb.rblock_programmed(&geo, r) {
-                    return Err(FlashError::ReadUnwritten {
-                        eblock: ext.eblock,
-                        rblock: r,
-                    });
-                }
-            }
+            self.check_readable(*ext)?;
         }
-        exts.iter()
+        Ok(exts
+            .iter()
             .map(|ext| {
-                let (bytes, done_at) = self.read_extent(*ext)?;
+                let (bytes, done_at) = self.read_checked(*ext);
                 let channel = ext.eblock.channel;
-                Ok((bytes, IoTicket { channel, done_at }))
+                (bytes, IoTicket { channel, done_at })
             })
-            .collect()
+            .collect())
     }
 
     /// Program a batch of WBLOCKs with deferred completion: a loop of
@@ -953,9 +955,9 @@ mod tests {
         let (view, _) = d
             .read_extent(ByteExtent::new(EblockAddr::new(0, 0), 16, 64))
             .unwrap();
-        // Zero-copy: the returned view joins with a prefix slice of the
+        // Zero-copy: the returned view extends a prefix slice of the
         // original buffer, which only works for the same backing Arc.
-        assert!(buf.slice(0..16).try_join(&view).is_some());
+        assert!(buf.slice(0..16).try_extend(&view));
         assert_eq!(view, vec![9u8; 64]);
     }
 }

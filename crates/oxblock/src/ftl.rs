@@ -279,9 +279,8 @@ impl OxBlock {
             );
             let (bytes, t) = self.dev.read_extent(ext)?;
             total += bytes.len();
-            match segs.last_mut().and_then(|last| last.try_join(&bytes)) {
-                Some(joined) => *segs.last_mut().unwrap() = joined,
-                None => segs.push(bytes),
+            if !segs.last_mut().is_some_and(|last| last.try_extend(&bytes)) {
+                segs.push(bytes);
             }
             done = done.max(t);
         }

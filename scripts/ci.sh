@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate, in dependency order: release build, the full workspace
-# test suite (the bare root package alone runs only its 4 facade tests —
-# the 3 end-to-end tests and the GC read-amplification guard; --workspace
-# is what exercises every crate), lint-clean at -D warnings, the GC-pass
-# gates (defer on/off identity, fault and power-cut sweeps over a
-# multi-round pass, GC reads and relocation actions), the host
+# test suite (the bare root package alone runs only its 5 facade tests —
+# the 3 end-to-end tests, the GC read-amplification guard and the
+# simulation fingerprint; --workspace is what exercises every crate),
+# lint-clean at -D warnings, the GC-pass gates (defer on/off identity,
+# fault and power-cut sweeps over a multi-round pass, GC reads and
+# relocation actions, the simulation fingerprint), the host
 # front-end gates (exhaustive crash-point sweep + frontend bench tests),
 # the sharded-router gates (cross-shard crash sweep, 1-shard identity,
 # monotonic shard scaling, sharded refinement proptest), bounded
@@ -47,15 +48,19 @@ echo "== mapping-cache equivalence (demand paging vs memory resident) =="
 # anchor that keeps the crash sweeps valid oracles for demand paging.
 cargo test -q --release -p eleos --test mapping_equivalence
 
-echo "== GC pass gates (defer_io identity, fault sweeps, GC reads) =="
+echo "== GC pass gates (defer_io identity, fault sweeps, GC reads, fingerprint) =="
 # One maybe_gc call relocates all of its rounds' victims in one system
 # action: one-channel passes of several rounds stay tick-identical with
 # defer_io on and off, a program failure or power cut at every ordinal of
 # a multi-round pass keeps it all-or-none, and the root guard bounds GC
-# bytes read per byte moved and relocation actions per victim.
+# bytes read per byte moved and relocation actions per victim. The
+# fingerprint pins every snapshot counter and the final simulated clock
+# of a GC churn and of a paged-map script against
+# tests/data/sim_fingerprint.txt: a host-only change must leave it as is.
 cargo test -q --release -p eleos --test pipelining
 cargo test -q --release -p eleos --test fault_paths
 cargo test -q --release --test gc_reads
+cargo test -q --release --test sim_fingerprint
 
 echo "== GC policy lab smoke (bounded grid, measurement plumbing) =="
 # Two policies at one utilization with a short churn: WA >= 1, GC busy
