@@ -234,23 +234,6 @@ fn main() {
         let _ = write!(md, "{}\n{}\n\n", t.render(), notes);
     }
 
-    // Appendix: the committed host wall-clock trajectory, so the report
-    // carries the perf baseline next to the simulated numbers.
-    if let Ok(text) = std::fs::read_to_string("BENCH_controller.json") {
-        let entries = eleos_bench::perfjson::parse_entries(&text);
-        if !entries.is_empty() {
-            let t = eleos_bench::perfjson::trajectory_table(&entries);
-            t.print();
-            let _ = write!(
-                md,
-                "{}\n*Host* wall-clock throughput of the emulator+FTL (not virtual \
-                 time): the trajectory `perfbench` appends to BENCH_controller.json, \
-                 regenerated here from the committed file.\n\n",
-                t.render()
-            );
-        }
-    }
-
     std::fs::write(&out_path, md).expect("write EXPERIMENTS.md");
     println!("wrote {out_path}");
 }

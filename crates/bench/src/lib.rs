@@ -3,7 +3,8 @@
 //! Drivers that regenerate every table and figure of the paper's
 //! evaluation (Section IX), plus shared reporting helpers. Each figure has
 //! a binary (`fig1`, `fig9`, `table2`, `fig10a`, `fig10b`, `fig10c`,
-//! `ablation`, `repro_all`); Criterion microbenches live under `benches/`.
+//! `ablation`, `repro_all`). Host wall-clock speed is measured by the
+//! separate `benchmark/` package, which does not link this crate.
 //!
 //! Scale note: the paper's testbed replayed 100 GB traces against a
 //! physical SSD; the emulator holds device contents in RAM, so every
@@ -20,8 +21,6 @@ pub mod experiments;
 pub mod frontend_scale;
 pub mod gc_lab;
 pub mod harness;
-pub mod net_scale;
-pub mod perfjson;
 pub mod report;
 pub mod shard_scale;
 pub mod tpcc_driver;

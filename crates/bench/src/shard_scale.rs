@@ -15,14 +15,12 @@
 //! shard takes the exact unsharded path, and
 //! `one_shard_matches_unsharded_exactly` asserts snapshot-JSON equality.
 
-use crate::perfjson::BenchEntry;
 use crate::report::Table;
 use eleos::frontend::GroupCommitPolicy;
 use eleos::sharded::{ShardedEleos, ShardedFrontend};
 use eleos::{EleosConfig, PageMode, TelemetrySnapshot, WriteBatch};
 use eleos_flash::{CostProfile, FlashDevice, Geometry, SpanKind};
 use eleos_workloads::multi_client::{generate, total_pages, ClientBatch, MultiClientConfig};
-use std::time::Instant;
 
 /// 8 channels total, split evenly across shards: 1 shard sees the exact
 /// `frontend_scale` geometry (8 × 64 × 32 × 32 KB = 512 MB), 8 shards get
@@ -54,10 +52,10 @@ fn schedule(clients: usize, batches_per_client: usize) -> Vec<ClientBatch> {
     })
 }
 
-fn config(clients: usize, ckpt_log_bytes: u64) -> EleosConfig {
+fn config(clients: usize) -> EleosConfig {
     EleosConfig {
         max_user_lpid: clients as u64 * 128 + 1,
-        ckpt_log_bytes,
+        ckpt_log_bytes: u64::MAX,
         mapping_cache_pages: 1 << 12,
         ..Default::default()
     }
@@ -83,19 +81,12 @@ fn build(cb: &ClientBatch) -> WriteBatch {
 /// One sweep point.
 #[derive(Debug, Clone)]
 pub struct ShardScalePoint {
-    pub shards: usize,
-    pub clients: usize,
-    pub batches: u64,
     pub pages: u64,
     /// Simulated duration, format to drain, on the host timeline
     /// (max over shard clocks).
     pub sim_ns: u64,
     /// Groups the front-end flushed.
     pub groups: u64,
-    pub host_seconds: f64,
-    pub bytes_programmed: u64,
-    pub cpu_busy_ns: u64,
-    pub flash_busy_ns: u64,
     pub write_p99_ns: u64,
 }
 
@@ -107,27 +98,20 @@ impl ShardScalePoint {
 }
 
 /// Run the 64-client group-commit schedule against `n_shards` shards.
-pub fn run_point(
-    n_shards: usize,
-    clients: usize,
-    batches_per_client: usize,
-    ckpt_log_bytes: u64,
-) -> ShardScalePoint {
+pub fn run_point(n_shards: usize, clients: usize, batches_per_client: usize) -> ShardScalePoint {
     let sched = schedule(clients, batches_per_client);
-    let cfg = config(clients, ckpt_log_bytes);
+    let cfg = config(clients);
     let devs: Vec<FlashDevice> = (0..n_shards)
         .map(|_| FlashDevice::new(shard_geo(n_shards), CostProfile::high_end_cpu()))
         .collect();
     let mut sh = ShardedEleos::format(devs, &cfg).expect("format");
     let mut fe = ShardedFrontend::new(clients, policy());
     let sim0 = sh.host_now();
-    let t = Instant::now();
     for cb in &sched {
         fe.submit(&mut sh, cb.client, cb.at, build(cb)).expect("submit");
     }
     fe.flush(&mut sh).expect("final flush");
     sh.drain();
-    let host_seconds = t.elapsed().as_secs_f64();
     let sim_ns = sh.host_now() - sim0;
     let merged = TelemetrySnapshot::merge(sh.snapshots());
     assert!(
@@ -136,16 +120,9 @@ pub fn run_point(
         merged.conservation_error()
     );
     ShardScalePoint {
-        shards: n_shards,
-        clients,
-        batches: sched.len() as u64,
         pages: total_pages(&sched) as u64,
         sim_ns,
         groups: fe.groups_flushed(),
-        host_seconds,
-        bytes_programmed: merged.flash().bytes_programmed,
-        cpu_busy_ns: merged.cpu_busy_ns(),
-        flash_busy_ns: merged.flash().channel_busy_ns.iter().sum(),
         write_p99_ns: merged.span(SpanKind::WriteBatch).p99(),
     }
 }
@@ -165,7 +142,7 @@ pub fn shard_scale_table() -> (Table, &'static str) {
     );
     let mut base_ns = 0u64;
     for n in [1usize, 2, 4, 8] {
-        let p = run_point(n, 64, 48, u64::MAX);
+        let p = run_point(n, 64, 48);
         if n == 1 {
             base_ns = p.sim_ns;
         }
@@ -197,40 +174,6 @@ pub fn shard_scale_table() -> (Table, &'static str) {
     )
 }
 
-/// The perfbench entry: 64 clients on `n_shards` shards, host wall-clock.
-/// Simulated counters are deterministic per shard count; on the 1-core CI
-/// container `host_seconds` measures the router's dispatch overhead, not a
-/// parallel speedup (the shards' *simulated* clocks advance concurrently,
-/// the host loop is serial).
-pub fn bench_shard_scale(scale: &str, label: &str, n_shards: usize) -> BenchEntry {
-    let batches_per_client = if scale == "small" { 64 } else { 2048 };
-    let p = run_point(n_shards, 64, batches_per_client, 16 * 1024 * 1024);
-    eprintln!(
-        "  shard_scale: {} shards, 64 clients, {} groups, {:.0} simulated pages/sec",
-        p.shards,
-        p.groups,
-        p.sim_pages_per_sec()
-    );
-    BenchEntry {
-        label: label.to_string(),
-        bench: "shard_scale_64c".to_string(),
-        scale: scale.to_string(),
-        ops: p.batches,
-        host_seconds: p.host_seconds,
-        sim_ops_per_host_sec: p.batches as f64 / p.host_seconds,
-        bytes_programmed: p.bytes_programmed,
-        bytes_read: 0,
-        cpu_busy_ns: p.cpu_busy_ns,
-        flash_busy_ns: p.flash_busy_ns,
-        write_p99_ns: p.write_p99_ns,
-        host_threads: 1,
-        mapping_cache_pages: 1 << 12,
-        gc_policy: eleos::GcPolicy::MinCostDecline.label().to_string(),
-        shards: n_shards as u32,
-        net_clients: 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,7 +185,7 @@ mod tests {
     #[test]
     fn one_shard_matches_unsharded_exactly() {
         let sched = schedule(16, 12);
-        let cfg = config(16, u64::MAX);
+        let cfg = config(16);
 
         let dev = FlashDevice::new(shard_geo(1), CostProfile::high_end_cpu());
         let mut ssd = Eleos::format(dev, cfg.clone()).expect("format");
@@ -274,7 +217,7 @@ mod tests {
         let mut last = 0.0f64;
         let mut curve = Vec::new();
         for n in [1usize, 2, 4, 8] {
-            let p = run_point(n, 64, 24, u64::MAX);
+            let p = run_point(n, 64, 24);
             let tput = p.sim_pages_per_sec();
             curve.push((n, tput));
             assert!(

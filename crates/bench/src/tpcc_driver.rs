@@ -15,7 +15,7 @@
 //!   buffer, no padding.
 
 use eleos::{Eleos, EleosConfig, PageMode, WriteBatch, WriteOpts};
-use eleos_flash::{CostProfile, FlashDevice, Geometry, Nanos, SpanKind};
+use eleos_flash::{CostProfile, FlashDevice, Geometry, Nanos};
 use eleos_workloads::{PageWrite, TpccTrace, TpccTraceConfig};
 use oxblock::{OxBlock, OxConfig};
 
@@ -40,24 +40,12 @@ impl Interface {
 /// Result of one replay run.
 #[derive(Debug, Clone)]
 pub struct TpccResult {
-    pub interface: Interface,
-    pub buffer_bytes: usize,
     /// TPC-C pages written.
     pub pages: u64,
     /// Bytes that crossed the storage interface (incl. padding).
     pub wire_bytes: u64,
-    /// Bytes physically programmed to flash during the run (data + meta +
-    /// log amplification).
-    pub flash_bytes_programmed: u64,
     /// Virtual elapsed time.
     pub sim_ns: Nanos,
-    /// Simulated controller-CPU busy time (telemetry snapshot).
-    pub cpu_busy_ns: Nanos,
-    /// Simulated flash-channel busy time, summed across channels.
-    pub flash_busy_ns: Nanos,
-    /// p99 of the write-batch latency span; 0 for the block path, whose
-    /// conventional FTL records no controller spans.
-    pub write_p99_ns: Nanos,
 }
 
 impl TpccResult {
@@ -167,20 +155,10 @@ fn run_batch(
         ssd.write(&batch, WriteOpts::default()).unwrap();
     }
     ssd.drain();
-    let snap = ssd.snapshot();
     TpccResult {
-        interface: match mode {
-            PageMode::Variable => Interface::BatchVp,
-            PageMode::Fixed(_) => Interface::BatchFp,
-        },
-        buffer_bytes,
         pages,
         wire_bytes: wire,
-        flash_bytes_programmed: snap.flash.bytes_programmed,
         sim_ns: ssd.now() - t0,
-        cpu_busy_ns: snap.cpu_busy_ns,
-        flash_busy_ns: snap.flash.total_busy_ns(),
-        write_p99_ns: snap.span(SpanKind::WriteBatch).p99(),
     }
 }
 
@@ -226,15 +204,9 @@ fn run_block(
     }
     ftl.device_mut().clock_mut().drain();
     TpccResult {
-        interface: Interface::Block,
-        buffer_bytes,
         pages,
         wire_bytes: wire,
-        flash_bytes_programmed: ftl.device().stats().bytes_programmed,
         sim_ns: ftl.now() - t0,
-        cpu_busy_ns: ftl.device().clock().cpu_busy_ns(),
-        flash_busy_ns: ftl.device().stats().total_busy_ns(),
-        write_p99_ns: 0,
     }
 }
 

@@ -1,7 +1,7 @@
 //! The unified controller API (DESIGN.md §15).
 //!
 //! PR 7's sharded router duplicated the controller surface: every harness
-//! (chaos, crash sweeps, perfbench, `repro_all`) carried parallel
+//! (chaos, crash sweeps, `repro_all`) carried parallel
 //! `Eleos`-vs-`ShardedEleos` code paths, and the two front-ends were
 //! line-for-line twins. [`Controller`] is the one write/read/recover
 //! surface both implement; harnesses are generic over it and a 1-unit

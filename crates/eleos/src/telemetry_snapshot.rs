@@ -496,14 +496,32 @@ mod tests {
         for key in [
             "\"now_ns\":1234",
             "\"cpu_busy_ns\":77",
+            "\"total_busy_ns\":",
+            "\"unattributed_cpu_ns\":",
+            "\"mapping_cached_pages\":",
+            "\"map_cache\":{",
+            "\"hits\":",
+            "\"misses\":",
+            "\"flash_loads\":",
+            "\"evictions\":",
             "\"flash\":{",
             "\"cpu_attr_ns\":{",
             "\"flash_attr_ns\":{",
             "\"spans\":{",
             "\"write_batch\":{\"count\":1",
+            "\"group_flush\":{",
+            "\"p99_ns\":",
             "\"conservation_ok\":true",
         ] {
             assert!(j.contains(key), "missing {key} in {j}");
+        }
+        // Every activity row appears in both attribution maps.
+        let (cpu_attr, rest) = j.split_once("\"flash_attr_ns\":").expect("flash_attr_ns");
+        let (flash_attr, _) = rest.split_once("\"spans\":").expect("spans");
+        for a in Activity::ALL {
+            let key = format!("\"{}\":", a.label());
+            assert!(cpu_attr.contains(&key), "{key} missing from cpu_attr_ns: {j}");
+            assert!(flash_attr.contains(&key), "{key} missing from flash_attr_ns: {j}");
         }
         // Balanced braces (cheap well-formedness check without a parser).
         assert_eq!(

@@ -137,9 +137,10 @@ proptest! {
 }
 
 /// Conservation through the full lifecycle on a deliberately hostile
-/// schedule: enough overwrites to force GC, sparse checkpoints, and two
-/// crash/recover cycles. Every bucket of simulated time must stay
-/// accounted for, and the big three activities must all be visible.
+/// schedule: enough overwrites to force GC, point reads, sparse
+/// checkpoints, and two crash/recover cycles. Every bucket of simulated
+/// time must stay accounted for, and the main activities must all be
+/// visible.
 #[test]
 fn conservation_holds_across_gc_and_recovery() {
     let c = cfg(true);
@@ -163,6 +164,9 @@ fn conservation_holds_across_gc_and_recovery() {
                 let _ = ssd.maintenance();
             }
         }
+        for lpid in 0..96u64 {
+            let _ = ssd.read(lpid);
+        }
         let _ = ssd.checkpoint();
         let snap = ssd.snapshot();
         assert!(snap.conservation_error().is_none(), "cycle {cycle}: {:?}",
@@ -174,8 +178,9 @@ fn conservation_holds_across_gc_and_recovery() {
     let snap = ssd.snapshot();
     assert!(snap.conservation_error().is_none(), "{:?}", snap.conservation_error());
     assert!(snap.total_busy_ns() > 0);
-    // The lifecycle exercised at least writes, WAL appends and recovery.
-    for a in [Activity::UserWrite, Activity::Wal, Activity::Recovery] {
+    // The lifecycle exercised at least writes, reads, WAL appends and
+    // recovery.
+    for a in [Activity::UserWrite, Activity::UserRead, Activity::Wal, Activity::Recovery] {
         assert!(
             snap.activity_busy_ns(a) > 0,
             "activity {} recorded no time",

@@ -3,17 +3,17 @@
 # test suite (the bare root package alone runs only its 5 facade tests —
 # the 3 end-to-end tests, the GC read-amplification guard and the
 # simulation fingerprint; --workspace is what exercises every crate),
-# lint-clean at -D warnings, the GC-pass gates (defer on/off identity,
-# fault and power-cut sweeps over a multi-round pass, GC reads and
-# relocation actions, the simulation fingerprint), the host
-# front-end gates (exhaustive crash-point sweep + frontend bench tests),
-# the sharded-router gates (cross-shard crash sweep, 1-shard identity,
-# monotonic shard scaling, sharded refinement proptest), bounded
+# lint-clean at -D warnings, the crash sweeps (single controller and
+# sharded), mapping-cache equivalence, the GC-pass gates (defer on/off
+# identity, fault and power-cut sweeps over a multi-round pass, GC reads
+# and relocation actions, the simulation fingerprint), the GC policy lab
+# smoke, the host front-end gates (group commit vs serial, refinement
+# proptest), the sharded-router gates (1-shard identity, monotonic shard
+# scaling, sharded refinement proptest, sharded telemetry), bounded
 # chaos-soak smokes (fault-injected differential oracle, single-client,
 # multi-client and sharded), the wire-server gates (loopback e2e, frame
-# fuzz, killed-connection sweep, session WSN redo, net chaos smoke), the
-# benchmark package's smoke-scale oracle, then the wall-clock perf smoke
-# gate against the committed BENCH_controller.json.
+# fuzz, killed-connection sweep), the session WSN redo gate, the net
+# chaos smoke, and last the benchmark package's smoke-scale oracle.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -113,37 +113,5 @@ echo "== benchmark smoke oracle (six workloads, read-back + crash/recover) =="
 # The benchmark package (BENCHMARK.json) at smoke scale: every workload
 # reads back byte for byte, crashes, recovers and reads back again.
 cargo test -q --manifest-path benchmark/Cargo.toml
-
-echo "== telemetry gate (snapshot schema + conservation) =="
-# perfbench --telemetry-out runs a small mixed scenario, enforces the
-# attribution conservation invariant in-process (exit 1 on violation),
-# and writes the snapshot JSON; the greps pin the documented schema.
-telemetry_json="$(mktemp)"
-trap 'rm -f "$telemetry_json"' EXIT
-cargo run --release -p eleos-bench --bin perfbench -- --telemetry-out "$telemetry_json"
-for key in now_ns cpu_busy_ns total_busy_ns unattributed_cpu_ns \
-           mapping_cached_pages map_cache hits misses flash_loads \
-           evictions flash cpu_attr_ns flash_attr_ns spans \
-           user_write gc ckpt wal map_io recovery frontend group_flush \
-           write_batch p99_ns conservation_ok; do
-  grep -q "\"$key\"" "$telemetry_json" \
-    || { echo "telemetry gate: missing key \"$key\"" >&2; exit 1; }
-done
-grep -q '"conservation_ok":true' "$telemetry_json" \
-  || { echo "telemetry gate: conservation_ok is not true" >&2; exit 1; }
-
-echo "== bench schema gate (host_threads/shards/mapping/gc keys) =="
-# Committed trajectory entries label their wall-clock measurement with
-# the host thread count, since the sharded router with its shard count,
-# and since the demand-paged mapping with its cache bound and GC policy;
-# the parser defaults pre-existing entries (1 thread, 1 shard, unbounded
-# map, paper policy).
-for key in host_threads shards mapping_cache_pages gc_policy net_clients; do
-  grep -q "\"$key\"" BENCH_controller.json \
-    || { echo "bench schema gate: BENCH_controller.json has no $key key" >&2; exit 1; }
-done
-
-echo "== perf smoke =="
-scripts/perf_smoke.sh
 
 echo "ci: OK"
