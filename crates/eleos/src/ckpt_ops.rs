@@ -20,12 +20,7 @@ use eleos_flash::{Activity, FlashError, SpanKind};
 impl Eleos {
     /// Take a fuzzy checkpoint.
     pub fn checkpoint(&mut self) -> Result<()> {
-        let t0 = self.dev.clock().now();
-        let res = self.with_activity(Activity::Ckpt, |this| this.checkpoint_impl());
-        if res.is_ok() {
-            self.finish_span(SpanKind::Checkpoint, t0);
-        }
-        res
+        self.traced(Activity::Ckpt, SpanKind::Checkpoint, |this| this.checkpoint_impl())
     }
 
     fn checkpoint_impl(&mut self) -> Result<()> {

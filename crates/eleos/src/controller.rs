@@ -104,22 +104,10 @@ pub(crate) enum Dest {
 /// GC pass's relocation action has one per victim, in victim order.
 pub(crate) type Segment = (std::ops::Range<usize>, Dest);
 
-/// Result of a committed system action.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ActionResult {
-    pub done_at: Nanos,
-    /// GC relocations dropped because the mapping no longer matched
-    /// (mirrored into `EleosStats::gc_installs_aborted`; kept here for GC
-    /// callers that need the per-action count).
-    #[allow(dead_code)]
-    pub relocations_aborted: usize,
-}
-
-/// What a prepared shard-local action will do when its group commits
-/// (cross-shard two-phase group commit; see `eleos::sharded`).
+/// What a staged user action counts when it commits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PreparedKind {
-    /// A user write: stats bumped on commit, mirroring the direct path.
+pub(crate) enum StagedKind {
+    /// A user write and its batch statistics.
     Write {
         lpages: u64,
         payload_bytes: u64,
@@ -129,20 +117,37 @@ pub(crate) enum PreparedKind {
     Delete,
 }
 
-/// One shard's durable first phase of a cross-shard group: `Write` records
-/// and data programs are on flash and a `Prepare { gid }` record is forced,
-/// but nothing is installed. The group's outcome now belongs to the
-/// coordinator — [`Eleos::commit_prepared`] or [`Eleos::abort_prepared`]
+impl StagedKind {
+    /// Count a committed write's batch; a delete counts only its commit.
+    fn count(self, stats: &mut EleosStats) {
+        if let StagedKind::Write {
+            lpages,
+            payload_bytes,
+            stored_bytes,
+        } = self
+        {
+            stats.batches += 1;
+            stats.lpages += lpages;
+            stats.payload_bytes += payload_bytes;
+            stats.stored_bytes += stored_bytes;
+        }
+    }
+}
+
+/// A user write or delete staged for commit: its `Write` records are
+/// logged and its data programs submitted, but nothing is installed. A
+/// direct delete commits it at once; one shard's share of a cross-shard
+/// group (see `eleos::sharded`) is *prepared* instead — a forced `Prepare
+/// { gid }` follows the stage and the group's outcome belongs to the
+/// coordinator: [`Eleos::commit_prepared`] or [`Eleos::abort_prepared`]
 /// finishes it (recovery resolves survivors by consulting the coordinator
 /// log for `CoordCommit { gid }`).
 #[derive(Debug, Clone)]
-pub(crate) struct PreparedAction {
+pub(crate) struct StagedAction {
     pub id: ActionId,
-    #[allow(dead_code)]
-    pub gid: u64,
     /// LSN of the action's first `Write` record (the install tag).
     pub first_lsn: Lsn,
-    /// Simulated time the shard started on this sub-batch (span start).
+    /// Simulated time the controller started on the action (span start).
     pub t0: Nanos,
     /// `(lpid, packed new address)` per page, in batch order
     /// (`NULL_PADDR` for deletes).
@@ -150,10 +155,10 @@ pub(crate) struct PreparedAction {
     /// Provisioned addresses — freed as garbage if the group aborts
     /// (empty for deletes, which provision nothing).
     pub new_addrs: Vec<PhysAddr>,
-    /// When this shard's phase-1 work (data programs + forced `Prepare`)
-    /// is durable.
-    pub prepared_durable: Nanos,
-    pub kind: PreparedKind,
+    /// When the staged work — data programs, and a prepared action's
+    /// forced `Prepare` — is durable.
+    pub durable: Nanos,
+    pub kind: StagedKind,
 }
 
 /// A planned EBLOCK close produced during provisioning.
@@ -184,6 +189,13 @@ pub(crate) struct Plan {
     pub closes: Vec<CloseEvent>,
     /// Data regions provisioned: (eblock, start byte, end byte).
     pub touched: Vec<(EblockAddr, u64, u64)>,
+}
+
+impl Plan {
+    /// Packed new address of page `i`: null under a delete's empty plan.
+    fn new_addr(&self, i: usize) -> u64 {
+        self.addrs.get(i).map_or(NULL_PADDR, |a| a.pack())
+    }
 }
 
 /// The ELEOS SSD controller.
@@ -317,6 +329,22 @@ impl Eleos {
         let prev = self.dev.telemetry_mut().set_activity(a);
         let res = f(self);
         self.dev.telemetry_mut().set_activity(prev);
+        res
+    }
+
+    /// [`Eleos::with_activity`] that also records a `span` from the call's
+    /// start when `f` succeeds — the wrapper of a public operation.
+    pub(crate) fn traced<T>(
+        &mut self,
+        a: Activity,
+        span: SpanKind,
+        f: impl FnOnce(&mut Self) -> Result<T>,
+    ) -> Result<T> {
+        let t0 = self.dev.clock().now();
+        let res = self.with_activity(a, f);
+        if res.is_ok() {
+            self.finish_span(span, t0);
+        }
         res
     }
 
@@ -473,46 +501,63 @@ impl Eleos {
         self.write_inner(advances, batch, true)
     }
 
+    /// The direct write: intake, one system action over the batch, then
+    /// housekeeping.
     fn write_inner(
         &mut self,
         advances: &[(Sid, Wsn)],
         batch: &WriteBatch,
         wait_durable: bool,
     ) -> Result<BatchAck> {
-        let t0 = self.dev.clock().now();
-        let res = self.with_activity(Activity::UserWrite, |this| {
-            this.write_inner_impl(advances, batch, wait_durable)
-        });
-        if res.is_ok() {
-            self.finish_span(SpanKind::WriteBatch, t0);
-        }
-        res
+        self.traced(Activity::UserWrite, SpanKind::WriteBatch, |this| {
+            let (pages, kind) = this.user_pages(batch)?;
+            this.maybe_gc()?;
+            let plan = this.plan(&pages, Dest::User)?;
+            let done_at =
+                this.execute(ActionKind::User, advances, &pages, &plan, wait_durable)?;
+            kind.count(&mut this.stats);
+            // The user's batch is committed and installed from here on.
+            // Internal housekeeping failures (a program-failure abort
+            // inside a mapping flush or automatic checkpoint, even after
+            // its bounded retries) must not surface as a write error: the
+            // caller would re-submit an already-durable buffer and
+            // double-write it. Both are retried on a later write; genuine
+            // errors (ShutDown, flash faults) still propagate.
+            this.post_write_maintenance()?;
+            Ok(BatchAck {
+                lpages: pages.len(),
+                done_at,
+            })
+        })
     }
 
-    fn write_inner_impl(
-        &mut self,
-        advances: &[(Sid, Wsn)],
-        batch: &WriteBatch,
-        wait_durable: bool,
-    ) -> Result<BatchAck> {
+    /// Intake of a user write, shared by the direct and the prepared
+    /// write: check the batch, copy it into controller memory, charge the
+    /// host submission and transport, and return its pages with the
+    /// statistics its commit counts. The copy is the transport DMA of the
+    /// host buffer — every page view, WBLOCK program and stored buffer
+    /// downstream slices it. Every LPID is checked against the mapping's
+    /// range before anything is charged or logged, so a rejected batch
+    /// changes nothing.
+    fn user_pages(&mut self, batch: &WriteBatch) -> Result<(Vec<ActionPage>, StagedKind)> {
         if self.shutdown {
             return Err(EleosError::ShutDown);
         }
         if batch.is_empty() {
             return Err(EleosError::EmptyBatch);
         }
-        // One copy: the transport DMA of the host buffer into controller
-        // memory. Everything downstream — per-page views, WBLOCK programs,
-        // flash storage — slices this refcounted buffer without copying.
         let bytes = Bytes::copy_from_slice(batch.as_bytes());
+        let entries = parse_batch(&bytes, self.cfg.page_mode)?;
+        for e in &entries {
+            if e.kind != PageKind::User {
+                return Err(EleosError::Corrupt("user batch contains table-page entries"));
+            }
+            self.mapping.check_lpid(e.lpid)?;
+        }
         // Host submission + transport (one I/O, many packets).
         let profile = *self.dev.profile();
         self.dev
             .cpu(profile.host_submit_ns + profile.transport_cpu(bytes.len() as u64));
-        let entries = parse_batch(&bytes, self.cfg.page_mode)?;
-        if entries.iter().any(|e| e.kind != PageKind::User) {
-            return Err(EleosError::Corrupt("user batch contains table-page entries"));
-        }
         let pages: Vec<ActionPage> = entries
             .iter()
             .map(|e| ActionPage {
@@ -522,27 +567,15 @@ impl Eleos {
                 old_addr: NULL_PADDR,
             })
             .collect();
-        self.maybe_gc()?;
-        let segs = [(0..pages.len(), Dest::User)];
-        let res = self.run_action_inner(ActionKind::User, advances, &pages, &segs, wait_durable)?;
-        self.stats.batches += 1;
-        self.stats.lpages += pages.len() as u64;
-        self.stats.payload_bytes += batch.payload_bytes()
-            .max(pages.iter().map(|p| p.bytes.len() as u64).sum::<u64>()
-                - (pages.len() * ENTRY_HEADER) as u64);
-        self.stats.stored_bytes += pages.iter().map(|p| p.bytes.len() as u64).sum::<u64>();
-        // The user's batch is committed and installed from here on. Internal
-        // housekeeping failures (a program-failure abort inside a mapping
-        // flush or automatic checkpoint, even after its bounded retries)
-        // must not surface as a write error: the caller would re-submit an
-        // already-durable buffer and double-write it. Both are retried on a
-        // later write; genuine errors (ShutDown, flash faults) still
-        // propagate.
-        self.post_write_maintenance()?;
-        Ok(BatchAck {
-            lpages: pages.len(),
-            done_at: res.done_at,
-        })
+        let stored_bytes: u64 = pages.iter().map(|p| p.bytes.len() as u64).sum();
+        let kind = StagedKind::Write {
+            lpages: pages.len() as u64,
+            payload_bytes: batch
+                .payload_bytes()
+                .max(stored_bytes - (pages.len() * ENTRY_HEADER) as u64),
+            stored_bytes,
+        };
+        Ok((pages, kind))
     }
 
     /// Post-commit housekeeping: evict-flush dirty mapping pages under
@@ -584,32 +617,25 @@ impl Eleos {
     /// zero-copy view of the device's stored buffer whenever the LPAGE sits
     /// inside one WBLOCK.
     pub fn read(&mut self, lpid: Lpid) -> Result<Bytes> {
-        let t0 = self.dev.clock().now();
-        let res = self.with_activity(Activity::UserRead, |this| this.read_impl(lpid));
-        if res.is_ok() {
-            self.finish_span(SpanKind::Read, t0);
-        }
-        res
-    }
-
-    fn read_impl(&mut self, lpid: Lpid) -> Result<Bytes> {
-        let profile = *self.dev.profile();
-        self.dev
-            .cpu(profile.host_submit_ns + profile.read_ctx_ns);
-        let addr = self
-            .mapping
-            .get(lpid, &mut self.dev)?
-            .ok_or(EleosError::NotFound(lpid))?;
-        let (bytes, t) = self.dev.read_extent(addr.extent())?;
-        self.dev.clock_mut().wait_until(t);
-        let (stored_lpid, _kind, plen) = decode_stored_header(&bytes)?;
-        if stored_lpid != lpid {
-            return Err(EleosError::Corrupt("stored lpage identity mismatch"));
-        }
-        self.dev.cpu(profile.transport_cpu(plen as u64));
-        self.stats.reads += 1;
-        self.stats.read_bytes += plen as u64;
-        Ok(bytes.slice(ENTRY_HEADER..ENTRY_HEADER + plen))
+        self.traced(Activity::UserRead, SpanKind::Read, |this| {
+            let profile = *this.dev.profile();
+            this.dev
+                .cpu(profile.host_submit_ns + profile.read_ctx_ns);
+            let addr = this
+                .mapping
+                .get(lpid, &mut this.dev)?
+                .ok_or(EleosError::NotFound(lpid))?;
+            let (bytes, t) = this.dev.read_extent(addr.extent())?;
+            this.dev.clock_mut().wait_until(t);
+            let (stored_lpid, _kind, plen) = decode_stored_header(&bytes)?;
+            if stored_lpid != lpid {
+                return Err(EleosError::Corrupt("stored lpage identity mismatch"));
+            }
+            this.dev.cpu(profile.transport_cpu(plen as u64));
+            this.stats.reads += 1;
+            this.stats.read_bytes += plen as u64;
+            Ok(bytes.slice(ENTRY_HEADER..ENTRY_HEADER + plen))
+        })
     }
 
     /// Read a batch of LPAGEs, overlapping flash reads that land on
@@ -618,46 +644,39 @@ impl Eleos {
     /// of serializing on each read. Returns payloads in input order; any
     /// unmapped LPID fails the whole call.
     pub fn read_batch(&mut self, lpids: &[Lpid]) -> Result<Vec<Bytes>> {
-        let t0 = self.dev.clock().now();
-        let res = self.with_activity(Activity::UserRead, |this| this.read_batch_impl(lpids));
-        if res.is_ok() {
-            self.finish_span(SpanKind::ReadBatch, t0);
-        }
-        res
-    }
-
-    fn read_batch_impl(&mut self, lpids: &[Lpid]) -> Result<Vec<Bytes>> {
-        let profile = *self.dev.profile();
-        // Phase 1: mapping lookups, interleaved with their CPU charges
-        // (mapping faults read flash but never block the CPU).
-        let mut addrs = Vec::with_capacity(lpids.len());
-        for &lpid in lpids {
-            self.dev
-                .cpu(profile.host_submit_ns + profile.read_ctx_ns);
-            let addr = self
-                .mapping
-                .get(lpid, &mut self.dev)?
-                .ok_or(EleosError::NotFound(lpid))?;
-            addrs.push(addr);
-        }
-        // Phase 2: submit every data read, channel-major, then wait once.
-        let exts: Vec<ByteExtent> = addrs.iter().map(|a| a.extent()).collect();
-        let reads = self.dev.read_extents_async(&exts)?;
-        let tickets: Vec<IoTicket> = reads.iter().map(|r| r.1).collect();
-        self.dev.clock_mut().wait_all(&tickets);
-        // Phase 3: decode and hand back views.
-        let mut out = Vec::with_capacity(lpids.len());
-        for (&lpid, (bytes, _)) in lpids.iter().zip(reads) {
-            let (stored_lpid, _kind, plen) = decode_stored_header(&bytes)?;
-            if stored_lpid != lpid {
-                return Err(EleosError::Corrupt("stored lpage identity mismatch"));
+        self.traced(Activity::UserRead, SpanKind::ReadBatch, |this| {
+            let profile = *this.dev.profile();
+            // Phase 1: mapping lookups, interleaved with their CPU charges
+            // (mapping faults read flash but never block the CPU).
+            let mut addrs = Vec::with_capacity(lpids.len());
+            for &lpid in lpids {
+                this.dev
+                    .cpu(profile.host_submit_ns + profile.read_ctx_ns);
+                let addr = this
+                    .mapping
+                    .get(lpid, &mut this.dev)?
+                    .ok_or(EleosError::NotFound(lpid))?;
+                addrs.push(addr);
             }
-            self.dev.cpu(profile.transport_cpu(plen as u64));
-            self.stats.reads += 1;
-            self.stats.read_bytes += plen as u64;
-            out.push(bytes.slice(ENTRY_HEADER..ENTRY_HEADER + plen));
-        }
-        Ok(out)
+            // Phase 2: submit every data read, channel-major, then wait once.
+            let exts: Vec<ByteExtent> = addrs.iter().map(|a| a.extent()).collect();
+            let reads = this.dev.read_extents_async(&exts)?;
+            let tickets: Vec<IoTicket> = reads.iter().map(|r| r.1).collect();
+            this.dev.clock_mut().wait_all(&tickets);
+            // Phase 3: decode and hand back views.
+            let mut out = Vec::with_capacity(lpids.len());
+            for (&lpid, (bytes, _)) in lpids.iter().zip(reads) {
+                let (stored_lpid, _kind, plen) = decode_stored_header(&bytes)?;
+                if stored_lpid != lpid {
+                    return Err(EleosError::Corrupt("stored lpage identity mismatch"));
+                }
+                this.dev.cpu(profile.transport_cpu(plen as u64));
+                this.stats.reads += 1;
+                this.stats.read_bytes += plen as u64;
+                out.push(bytes.slice(ENTRY_HEADER..ENTRY_HEADER + plen));
+            }
+            Ok(out)
+        })
     }
 
     /// Current stored length (on-flash bytes) of an LPID, if mapped.
@@ -679,75 +698,93 @@ impl Eleos {
     /// and the storage they occupied becomes reclaimable garbage. Deletes
     /// run as an ordinary system action — a Write record with a null new
     /// address — so crash recovery replays them like any other update.
-    /// Unknown LPIDs are ignored (idempotent redo after a lost ACK).
+    /// Unknown LPIDs are ignored (idempotent redo after a lost ACK); LPIDs
+    /// outside the mapping's range are rejected before anything is logged.
     pub fn delete_batch(&mut self, lpids: &[Lpid]) -> Result<()> {
-        let t0 = self.dev.clock().now();
-        let res = self.with_activity(Activity::UserWrite, |this| this.delete_batch_impl(lpids));
-        if res.is_ok() {
-            self.finish_span(SpanKind::DeleteBatch, t0);
-        }
-        res
+        self.with_activity(Activity::UserWrite, |this| {
+            let s = this.stage_delete(lpids)?;
+            this.commit_staged(&s, 0).map(drop)
+        })
     }
 
-    fn delete_batch_impl(&mut self, lpids: &[Lpid]) -> Result<()> {
+    /// Intake and stage of a user delete, shared by the direct and the
+    /// prepared delete: check every LPID (before anything is charged or
+    /// logged), charge the host submission and the action context, and
+    /// stage one null-address `Write` per LPID under an empty plan.
+    fn stage_delete(&mut self, lpids: &[Lpid]) -> Result<StagedAction> {
         if self.shutdown {
             return Err(EleosError::ShutDown);
         }
         if lpids.is_empty() {
             return Err(EleosError::EmptyBatch);
         }
+        for &lpid in lpids {
+            self.mapping.check_lpid(lpid)?;
+        }
+        let t0 = self.dev.clock().now();
         let profile = *self.dev.profile();
         self.dev.cpu(
             profile.host_submit_ns
                 + profile.context_ns
                 + profile.per_page_ns * lpids.len() as u64,
         );
-        let id = self.next_action;
-        self.next_action += 1;
-        let mut first_lsn = 0;
-        for (i, &lpid) in lpids.iter().enumerate() {
-            if lpid >= crate::types::MAP_PAGE_BASE {
-                return Err(EleosError::ReservedLpid(lpid));
-            }
-            let lsn = self.log_append(&LogRecord::Write {
-                action: id,
-                akind: ActionKind::User,
+        let pages: Vec<ActionPage> = lpids
+            .iter()
+            .map(|&lpid| ActionPage {
                 lpid,
-                new_addr: NULL_PADDR,
+                kind: PageKind::User,
+                bytes: Bytes::new(),
                 old_addr: NULL_PADDR,
-            })?;
-            if i == 0 {
-                first_lsn = lsn;
-                self.active_first_lsn.insert(id, lsn);
-            }
-        }
-        let commit_lsn = self.log_append(&LogRecord::Commit {
-            action: id,
-            sid: 0,
-            wsn: 0,
-        })?;
-        let _ = commit_lsn;
-        let t = self.log_force()?;
-        self.dev.clock_mut().wait_until(t);
-        self.dev.cpu(profile.commit_force_ns);
-        for &lpid in lpids {
-            let old = self.mapping.set(lpid, NULL_PADDR, first_lsn, &mut self.dev)?;
-            if old != NULL_PADDR {
-                let lsn = self.log_append(&LogRecord::OldAddr {
-                    action: id,
-                    lpid,
-                    old_addr: old,
-                })?;
-                if let Some(oa) = PhysAddr::unpack(old) {
-                    self.summary
-                        .update(oa.eblock_addr(), lsn, |d| d.avail += oa.len);
-                }
-            }
-        }
-        self.log_append(&LogRecord::Done { action: id })?;
-        self.active_first_lsn.remove(&id);
-        self.stats.commits += 1;
-        Ok(())
+            })
+            .collect();
+        self.stage_user(t0, &pages, Plan::default(), StagedKind::Delete)
+    }
+
+    /// [`Eleos::stage`] for a user write or delete, keeping what its
+    /// commit (or a group abort) needs.
+    fn stage_user(
+        &mut self,
+        t0: Nanos,
+        pages: &[ActionPage],
+        plan: Plan,
+        kind: StagedKind,
+    ) -> Result<StagedAction> {
+        let (id, first_lsn, durable) = self.stage(ActionKind::User, pages, &plan)?;
+        Ok(StagedAction {
+            id,
+            first_lsn,
+            t0,
+            entries: pages
+                .iter()
+                .enumerate()
+                .map(|(i, p)| (p.lpid, plan.new_addr(i)))
+                .collect(),
+            new_addrs: plan.addrs,
+            durable,
+            kind,
+        })
+    }
+
+    /// Commit a staged user action: force its `Commit` record and wait
+    /// until the action is durable — no earlier than `floor` (the
+    /// coordinator's decision for a prepared action, 0 for a direct
+    /// delete) — then install its entries, finish it, count it and record
+    /// its span. Returns when it is durable.
+    fn commit_staged(&mut self, s: &StagedAction, floor: Nanos) -> Result<Nanos> {
+        let (_, t_log) = self.log_commit(s.id, &[])?;
+        let durable = floor.max(t_log).max(s.durable);
+        self.dev.clock_mut().wait_until(durable);
+        self.dev.cpu(self.dev.profile().commit_force_ns);
+        let installs = s.entries.iter().map(|&(lpid, new)| (PageKind::User, lpid, new));
+        self.install(s.id, installs, s.first_lsn)?;
+        self.finish_action(s.id, &[])?;
+        s.kind.count(&mut self.stats);
+        let span = match s.kind {
+            StagedKind::Write { .. } => SpanKind::WriteBatch,
+            StagedKind::Delete => SpanKind::DeleteBatch,
+        };
+        self.finish_span(span, s.t0);
+        Ok(durable)
     }
 
     // ------------------------------------------------------------------
@@ -755,162 +792,40 @@ impl Eleos {
     // lives in `eleos::sharded`)
     // ------------------------------------------------------------------
 
-    /// Phase 1 for a user write: run the direct write path up to (and
-    /// including) the data programs, then force a `Prepare { gid }` record
+    /// Phase 1 for a user write: the direct write's intake and stage —
+    /// Write records and data programs — then a forced `Prepare { gid }`
     /// instead of a `Commit`. Nothing is installed; the caller must finish
     /// with [`Eleos::commit_prepared`] or [`Eleos::abort_prepared`]. A
     /// program failure self-aborts exactly like the direct path (Section
     /// VII migrate + `ActionAborted`), and the router then aborts the
     /// group's other prepared shards.
-    pub(crate) fn prepare_write(&mut self, batch: &WriteBatch, gid: u64) -> Result<PreparedAction> {
-        self.with_activity(Activity::UserWrite, |this| this.prepare_write_impl(batch, gid))
-    }
-
-    fn prepare_write_impl(&mut self, batch: &WriteBatch, gid: u64) -> Result<PreparedAction> {
-        if self.shutdown {
-            return Err(EleosError::ShutDown);
-        }
-        if batch.is_empty() {
-            return Err(EleosError::EmptyBatch);
-        }
-        let t0 = self.dev.clock().now();
-        let bytes = Bytes::copy_from_slice(batch.as_bytes());
-        let profile = *self.dev.profile();
-        self.dev
-            .cpu(profile.host_submit_ns + profile.transport_cpu(bytes.len() as u64));
-        let entries = parse_batch(&bytes, self.cfg.page_mode)?;
-        if entries.iter().any(|e| e.kind != PageKind::User) {
-            return Err(EleosError::Corrupt("user batch contains table-page entries"));
-        }
-        let pages: Vec<ActionPage> = entries
-            .iter()
-            .map(|e| ActionPage {
-                lpid: e.lpid,
-                kind: PageKind::User,
-                bytes: bytes.slice(e.stored_range()),
-                old_addr: NULL_PADDR,
-            })
-            .collect();
-        self.maybe_gc()?;
-        self.dev
-            .cpu(profile.context_ns + profile.per_page_ns * pages.len() as u64);
-
-        let id = self.next_action;
-        self.next_action += 1;
-        let mut plan = Plan::default();
-        self.provision(&pages, &[(0..pages.len(), Dest::User)], &mut plan)?;
-        let mut first_lsn = 0;
-        for (i, p) in pages.iter().enumerate() {
-            let lsn = self.log_append(&LogRecord::Write {
-                action: id,
-                akind: ActionKind::User,
-                lpid: p.lpid,
-                new_addr: plan.addrs[i].pack(),
-                old_addr: p.old_addr,
-            })?;
-            if i == 0 {
-                first_lsn = lsn;
-                self.active_first_lsn.insert(id, lsn);
-            }
-        }
-        for c in &plan.closes {
-            self.log_append(&LogRecord::CloseEblock {
-                channel: c.addr.channel,
-                eblock: c.addr.eblock,
-                ts: c.ts,
-                data_wblocks: c.data_wblocks,
-                meta_wblocks: c.meta_wblocks,
-            })?;
-        }
-        let mut max_done = 0;
-        for r in self.dev.program_batch(&plan.ios) {
-            match r {
-                Ok(t) => max_done = max_done.max(t),
-                Err(FlashError::ProgramFailed(addr)) => {
-                    self.handle_write_failure(id, &plan, addr, 0)?;
-                    return Err(EleosError::ActionAborted);
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-        self.log_append(&LogRecord::Prepare { action: id, gid })?;
-        let t_log = self.log_force()?;
-        let stored_bytes: u64 = pages.iter().map(|p| p.bytes.len() as u64).sum();
-        let payload_bytes = batch
-            .payload_bytes()
-            .max(stored_bytes - (pages.len() * ENTRY_HEADER) as u64);
-        Ok(PreparedAction {
-            id,
-            gid,
-            first_lsn,
-            t0,
-            entries: pages
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (p.lpid, plan.addrs[i].pack()))
-                .collect(),
-            new_addrs: plan.addrs,
-            prepared_durable: max_done.max(t_log),
-            kind: PreparedKind::Write {
-                lpages: pages.len() as u64,
-                payload_bytes,
-                stored_bytes,
-            },
+    pub(crate) fn prepare_write(&mut self, batch: &WriteBatch, gid: u64) -> Result<StagedAction> {
+        self.with_activity(Activity::UserWrite, |this| {
+            let t0 = this.dev.clock().now();
+            let (pages, kind) = this.user_pages(batch)?;
+            this.maybe_gc()?;
+            let plan = this.plan(&pages, Dest::User)?;
+            let s = this.stage_user(t0, &pages, plan, kind)?;
+            this.prepare(s, gid)
         })
     }
 
-    /// Phase 1 for a delete (TRIM) sub-batch: `Write` records with a null
-    /// new address plus a forced `Prepare { gid }`. Deletes ride the same
-    /// 2PC so a cross-shard group mixing writes and deletes stays atomic.
-    pub(crate) fn prepare_delete(&mut self, lpids: &[Lpid], gid: u64) -> Result<PreparedAction> {
-        self.with_activity(Activity::UserWrite, |this| this.prepare_delete_impl(lpids, gid))
+    /// Phase 1 for a delete (TRIM) sub-batch: the direct delete's stage
+    /// plus a forced `Prepare { gid }`. Deletes ride the same 2PC so a
+    /// cross-shard group mixing writes and deletes stays atomic.
+    pub(crate) fn prepare_delete(&mut self, lpids: &[Lpid], gid: u64) -> Result<StagedAction> {
+        self.with_activity(Activity::UserWrite, |this| {
+            let s = this.stage_delete(lpids)?;
+            this.prepare(s, gid)
+        })
     }
 
-    fn prepare_delete_impl(&mut self, lpids: &[Lpid], gid: u64) -> Result<PreparedAction> {
-        if self.shutdown {
-            return Err(EleosError::ShutDown);
-        }
-        if lpids.is_empty() {
-            return Err(EleosError::EmptyBatch);
-        }
-        let t0 = self.dev.clock().now();
-        let profile = *self.dev.profile();
-        self.dev.cpu(
-            profile.host_submit_ns
-                + profile.context_ns
-                + profile.per_page_ns * lpids.len() as u64,
-        );
-        let id = self.next_action;
-        self.next_action += 1;
-        let mut first_lsn = 0;
-        for (i, &lpid) in lpids.iter().enumerate() {
-            if lpid >= crate::types::MAP_PAGE_BASE {
-                return Err(EleosError::ReservedLpid(lpid));
-            }
-            let lsn = self.log_append(&LogRecord::Write {
-                action: id,
-                akind: ActionKind::User,
-                lpid,
-                new_addr: NULL_PADDR,
-                old_addr: NULL_PADDR,
-            })?;
-            if i == 0 {
-                first_lsn = lsn;
-                self.active_first_lsn.insert(id, lsn);
-            }
-        }
-        self.log_append(&LogRecord::Prepare { action: id, gid })?;
-        let t_log = self.log_force()?;
-        Ok(PreparedAction {
-            id,
-            gid,
-            first_lsn,
-            t0,
-            entries: lpids.iter().map(|&l| (l, NULL_PADDR)).collect(),
-            new_addrs: Vec::new(),
-            prepared_durable: t_log,
-            kind: PreparedKind::Delete,
-        })
+    /// Force `Prepare { gid }` after a staged action: from here its outcome
+    /// belongs to the coordinator.
+    fn prepare(&mut self, mut s: StagedAction, gid: u64) -> Result<StagedAction> {
+        self.log_append(&LogRecord::Prepare { action: s.id, gid })?;
+        s.durable = s.durable.max(self.log_force()?);
+        Ok(s)
     }
 
     /// Coordinator decision: append and force `CoordCommit { gid }` on this
@@ -942,73 +857,24 @@ impl Eleos {
         Ok(t)
     }
 
-    /// Phase 2 commit of a prepared action: forced local `Commit`, then
-    /// the same install loop as the direct path (unconditional set +
-    /// `OldAddr` + AVAIL + `Done`). `coord_durable` is when the
-    /// coordinator decision hit flash; the returned instant is when this
-    /// shard's share of the group is fully durable.
+    /// Phase 2 commit of a prepared action: [`Eleos::commit_staged`] no
+    /// earlier than `coord_durable`, when the coordinator decision hit
+    /// flash. Returns when this shard's share of the group is durable.
     pub(crate) fn commit_prepared(
         &mut self,
-        p: &PreparedAction,
+        p: &StagedAction,
         coord_durable: Nanos,
     ) -> Result<Nanos> {
         self.with_activity(Activity::UserWrite, |this| {
-            this.commit_prepared_impl(p, coord_durable)
+            this.commit_staged(p, coord_durable)
         })
-    }
-
-    fn commit_prepared_impl(&mut self, p: &PreparedAction, coord_durable: Nanos) -> Result<Nanos> {
-        let profile = *self.dev.profile();
-        self.log_append(&LogRecord::Commit {
-            action: p.id,
-            sid: 0,
-            wsn: 0,
-        })?;
-        let t_log = self.log_force()?;
-        let durable = coord_durable.max(t_log).max(p.prepared_durable);
-        self.dev.clock_mut().wait_until(durable);
-        self.dev.cpu(profile.commit_force_ns);
-        for &(lpid, new_packed) in &p.entries {
-            let old = self.mapping.set(lpid, new_packed, p.first_lsn, &mut self.dev)?;
-            if old != NULL_PADDR {
-                let lsn = self.log_append(&LogRecord::OldAddr {
-                    action: p.id,
-                    lpid,
-                    old_addr: old,
-                })?;
-                if let Some(oa) = PhysAddr::unpack(old) {
-                    self.summary
-                        .update(oa.eblock_addr(), lsn, |d| d.avail += oa.len);
-                }
-            }
-        }
-        self.log_append(&LogRecord::Done { action: p.id })?;
-        self.active_first_lsn.remove(&p.id);
-        self.stats.commits += 1;
-        match p.kind {
-            PreparedKind::Write {
-                lpages,
-                payload_bytes,
-                stored_bytes,
-            } => {
-                self.stats.batches += 1;
-                self.stats.lpages += lpages;
-                self.stats.payload_bytes += payload_bytes;
-                self.stats.stored_bytes += stored_bytes;
-                self.finish_span(SpanKind::WriteBatch, p.t0);
-            }
-            PreparedKind::Delete => {
-                self.finish_span(SpanKind::DeleteBatch, p.t0);
-            }
-        }
-        Ok(durable)
     }
 
     /// Roll back a prepared action (a sibling shard's prepare failed): log
     /// `Abort`, free the provisioned addresses as garbage. The data
     /// programs already succeeded here, so no frontier reconciliation or
     /// migration is needed — the bytes are simply dead.
-    pub(crate) fn abort_prepared(&mut self, p: &PreparedAction) -> Result<()> {
+    pub(crate) fn abort_prepared(&mut self, p: &StagedAction) -> Result<()> {
         self.with_activity(Activity::UserWrite, |this| {
             this.stats.aborts += 1;
             let abort_lsn = this.log_append(&LogRecord::Abort { action: p.id })?;
@@ -1205,50 +1071,43 @@ impl Eleos {
 
     // ------------------------------------------------------------------
     // The system-action engine (Section IV: init / execute / commit)
+    //
+    // Every update runs as stage → commit → install → done. `execute`
+    // strings the steps together for a direct action; a user write or
+    // delete staged on its own (`stage_user`) is committed by
+    // `commit_staged`, at once or after its group's `Prepare`.
     // ------------------------------------------------------------------
 
     /// A synchronous one-segment system action with no session advances.
+    /// Returns when it is durable.
     pub(crate) fn run_action(
         &mut self,
         akind: ActionKind,
         pages: &[ActionPage],
         dest: Dest,
-    ) -> Result<ActionResult> {
-        self.run_action_inner(akind, &[], pages, &[(0..pages.len(), dest)], true)
+    ) -> Result<Nanos> {
+        if pages.is_empty() {
+            return Ok(self.now());
+        }
+        let plan = self.plan(pages, dest)?;
+        self.execute(akind, &[], pages, &plan, true)
     }
 
-    /// One system action over `pages`, provisioned segment by segment
-    /// (`segs` covers `pages` in order): one context charge, one `Write`
-    /// record per page, one `Commit` and log force, the installs, one
-    /// `Done`.
-    pub(crate) fn run_action_inner(
-        &mut self,
-        akind: ActionKind,
-        advances: &[(Sid, Wsn)],
-        pages: &[ActionPage],
-        segs: &[Segment],
-        wait_durable: bool,
-    ) -> Result<ActionResult> {
-        if pages.is_empty() {
-            return Ok(ActionResult {
-                done_at: self.now(),
-                relocations_aborted: 0,
-            });
-        }
+    /// Initialization: charge an action's context and per-page CPU, then
+    /// provision its `pages` into `dest` (command generation).
+    fn plan(&mut self, pages: &[ActionPage], dest: Dest) -> Result<Plan> {
         let profile = *self.dev.profile();
         self.dev
             .cpu(profile.context_ns + profile.per_page_ns * pages.len() as u64);
-
-        // ---- initialization: provisioning + I/O command generation ----
         let mut plan = Plan::default();
-        self.provision(pages, segs, &mut plan)?;
-        self.execute(akind, advances, pages, &plan, wait_durable)
+        self.provision(pages, &[(0..pages.len(), dest)], &mut plan)?;
+        Ok(plan)
     }
 
     /// The rest of a system action whose `pages` are provisioned by `plan`
-    /// (and whose CPU is charged): the log records, the programs, the
-    /// `Commit` and log force, the installs and `Done`. A GC pass stages
-    /// its rounds into one plan and executes it once.
+    /// (and whose CPU is charged): stage, `Commit` records and log force,
+    /// installs, `Done`. A GC pass stages its rounds into one plan and
+    /// executes it once. Returns when the action is durable.
     pub(crate) fn execute(
         &mut self,
         akind: ActionKind,
@@ -1256,20 +1115,72 @@ impl Eleos {
         pages: &[ActionPage],
         plan: &Plan,
         wait_durable: bool,
-    ) -> Result<ActionResult> {
-        let profile = *self.dev.profile();
+    ) -> Result<Nanos> {
+        let (id, first_lsn, programmed) = self.stage(akind, pages, plan)?;
+        let (commit_lsn, t_log) = self.log_commit(id, advances)?;
+        let durable = programmed.max(t_log);
+        if wait_durable {
+            // Synchronous semantics: the host sees the ACK only after the
+            // commit record and all data are on flash.
+            self.dev.clock_mut().wait_until(durable);
+        }
+        self.dev.cpu(self.dev.profile().commit_force_ns);
+
+        let installs = pages.iter().zip(&plan.addrs);
+        match akind {
+            ActionKind::User | ActionKind::Ckpt => {
+                self.install(id, installs.map(|(p, na)| (p.kind, p.lpid, na.pack())), first_lsn)?;
+            }
+            ActionKind::Gc | ActionKind::Migrate => {
+                for (p, na) in installs {
+                    let new_packed = na.pack();
+                    let installed =
+                        self.install_conditional(p.kind, p.lpid, p.old_addr, new_packed, first_lsn)?;
+                    if installed {
+                        if let Some(oa) = PhysAddr::unpack(p.old_addr) {
+                            self.summary
+                                .update(oa.eblock_addr(), commit_lsn, |d| d.avail += oa.len);
+                        }
+                    } else {
+                        let lsn = self.log_append(&LogRecord::GcInstallAborted {
+                            action: id,
+                            lpid: p.lpid,
+                            new_addr: new_packed,
+                        })?;
+                        self.summary
+                            .update(na.eblock_addr(), lsn, |d| d.avail += na.len);
+                        self.stats.gc_installs_aborted += 1;
+                    }
+                }
+            }
+        }
+        self.finish_action(id, advances)?;
+        Ok(durable)
+    }
+
+    /// Stage a system action whose `pages` are provisioned by `plan`:
+    /// allocate its id, append one `Write` record per page (new address
+    /// from `plan`, null under a delete's empty plan) and the plan's
+    /// `CloseEblock` records in one WAL scope, pin log truncation at the
+    /// first `Write`, and submit `plan.ios` as one batch. Returns the id,
+    /// the first `Write`'s LSN and when the programs complete. A program
+    /// failure aborts the action (Section VII) with `ActionAborted`.
+    fn stage(
+        &mut self,
+        akind: ActionKind,
+        pages: &[ActionPage],
+        plan: &Plan,
+    ) -> Result<(ActionId, Lsn, Nanos)> {
         let id = self.next_action;
         self.next_action += 1;
-
-        // ---- initialization: log records, in one WAL scope ----
         let first_lsn = self.with_activity(Activity::Wal, |this| {
             let mut first_lsn = 0;
-            for (i, (p, addr)) in pages.iter().zip(&plan.addrs).enumerate() {
+            for (i, p) in pages.iter().enumerate() {
                 let lsn = this.wal_append(&LogRecord::Write {
                     action: id,
                     akind,
                     lpid: p.lpid,
-                    new_addr: addr.pack(),
+                    new_addr: plan.new_addr(i),
                     old_addr: p.old_addr,
                 })?;
                 if i == 0 {
@@ -1289,84 +1200,90 @@ impl Eleos {
             Ok(first_lsn)
         })?;
 
-        // ---- execution phase: transfer data to the storage media ----
         // One batched submission, programmed in input order without moving
         // the CPU, so WBLOCKs on distinct channels overlap. The plan's
         // buffers are refcount clones of the batch transport's, no byte
         // copies.
-        let mut max_done = 0;
+        let mut programmed = 0;
         for r in self.dev.program_batch(&plan.ios) {
             match r {
-                Ok(t) => max_done = max_done.max(t),
+                Ok(t) => programmed = programmed.max(t),
                 Err(FlashError::ProgramFailed(addr)) => {
                     return self.handle_write_failure(id, plan, addr, 0);
                 }
                 Err(e) => return Err(e.into()),
             }
         }
+        Ok((id, first_lsn, programmed))
+    }
 
-        // ---- commit: force the commit record, then install ----
-        // Every session advance of this group rides a `Commit` record of
-        // the same action id: all of them precede the force, so the
-        // advances are durable exactly when the group is (replay advances
-        // each one; a duplicate Commit for an already-seen action is
-        // harmless — redo already ran).
+    /// Append an action's `Commit` records and force them: one per session
+    /// advance, all under the action's id (one bare record without
+    /// advances). Every advance precedes the force, so the advances are
+    /// durable exactly when the action is (replay advances each one; a
+    /// duplicate `Commit` for an already-seen action is harmless — redo
+    /// already ran). Returns the first record's LSN and when the force
+    /// completes.
+    fn log_commit(&mut self, id: ActionId, advances: &[(Sid, Wsn)]) -> Result<(Lsn, Nanos)> {
         let (sid, wsn) = advances.first().copied().unwrap_or((0, 0));
         let commit_lsn = self.log_append(&LogRecord::Commit { action: id, sid, wsn })?;
         for &(sid, wsn) in advances.iter().skip(1) {
             self.log_append(&LogRecord::Commit { action: id, sid, wsn })?;
         }
-        let t_log = self.log_force()?;
-        let durable = max_done.max(t_log);
-        if wait_durable {
-            // Synchronous semantics: the host sees the ACK only after the
-            // commit record and all data are on flash.
-            self.dev.clock_mut().wait_until(durable);
-        }
-        self.dev.cpu(profile.commit_force_ns);
+        Ok((commit_lsn, self.log_force()?))
+    }
 
-        let mut relocations_aborted = 0;
-        match akind {
-            ActionKind::User | ActionKind::Ckpt => {
-                for (p, na) in pages.iter().zip(&plan.addrs) {
-                    let old = self.install_unconditional(p.kind, p.lpid, na.pack(), first_lsn)?;
-                    if old != NULL_PADDR {
-                        let lsn = self.log_append(&LogRecord::OldAddr {
-                            action: id,
-                            lpid: p.lpid,
-                            old_addr: old,
-                        })?;
-                        if let Some(oa) = PhysAddr::unpack(old) {
-                            self.summary
-                                .update(oa.eblock_addr(), lsn, |d| d.avail += oa.len);
-                        }
-                    }
+    /// Install committed `(kind, lpid, packed new address)` pages
+    /// unconditionally, tagging mapping updates with `tag`: each displaced
+    /// address is logged as `OldAddr` and credited to its EBLOCK's AVAIL.
+    /// The install of user and checkpoint actions, of committed prepared
+    /// actions and of the prepared actions recovery commits.
+    pub(crate) fn install(
+        &mut self,
+        id: ActionId,
+        pages: impl IntoIterator<Item = (PageKind, Lpid, u64)>,
+        tag: Lsn,
+    ) -> Result<()> {
+        for (kind, lpid, new_packed) in pages {
+            let old = match kind {
+                PageKind::User => self.mapping.set(lpid, new_packed, tag, &mut self.dev)?,
+                PageKind::MapPage => {
+                    let i = PageKind::table_index(lpid) as u32;
+                    let old = self.mapping.small_addr(i);
+                    self.mapping.mark_page_flushed(i, new_packed);
+                    old
                 }
-            }
-            ActionKind::Gc | ActionKind::Migrate => {
-                for (p, na) in pages.iter().zip(&plan.addrs) {
-                    let new_packed = na.pack();
-                    let installed =
-                        self.install_conditional(p.kind, p.lpid, p.old_addr, new_packed, first_lsn)?;
-                    if installed {
-                        if let Some(oa) = PhysAddr::unpack(p.old_addr) {
-                            self.summary
-                                .update(oa.eblock_addr(), commit_lsn, |d| d.avail += oa.len);
-                        }
-                    } else {
-                        let lsn = self.log_append(&LogRecord::GcInstallAborted {
-                            action: id,
-                            lpid: p.lpid,
-                            new_addr: new_packed,
-                        })?;
-                        self.summary
-                            .update(na.eblock_addr(), lsn, |d| d.avail += na.len);
-                        relocations_aborted += 1;
-                        self.stats.gc_installs_aborted += 1;
-                    }
+                PageKind::SmallPage => {
+                    let i = PageKind::table_index(lpid) as usize;
+                    let old = self.mapping.tiny_addr(i);
+                    self.mapping.set_tiny_addr(i, new_packed);
+                    old
+                }
+                PageKind::SummaryPage => {
+                    let i = PageKind::table_index(lpid) as usize;
+                    let old = self.summary.page_addr(i);
+                    self.summary.set_page_addr(i, new_packed);
+                    old
+                }
+            };
+            if old != NULL_PADDR {
+                let lsn = self.log_append(&LogRecord::OldAddr {
+                    action: id,
+                    lpid,
+                    old_addr: old,
+                })?;
+                if let Some(oa) = PhysAddr::unpack(old) {
+                    self.summary
+                        .update(oa.eblock_addr(), lsn, |d| d.avail += oa.len);
                 }
             }
         }
+        Ok(())
+    }
+
+    /// Finish a committed action: append `Done`, release its log-truncation
+    /// pin, apply its session advances and count the commit.
+    fn finish_action(&mut self, id: ActionId, advances: &[(Sid, Wsn)]) -> Result<()> {
         self.log_append(&LogRecord::Done { action: id })?;
         self.active_first_lsn.remove(&id);
         for &(sid, wsn) in advances {
@@ -1375,40 +1292,7 @@ impl Eleos {
             }
         }
         self.stats.commits += 1;
-        Ok(ActionResult {
-            done_at: durable,
-            relocations_aborted,
-        })
-    }
-
-    fn install_unconditional(
-        &mut self,
-        kind: PageKind,
-        lpid: Lpid,
-        new_packed: u64,
-        tag_lsn: Lsn,
-    ) -> Result<u64> {
-        Ok(match kind {
-            PageKind::User => self.mapping.set(lpid, new_packed, tag_lsn, &mut self.dev)?,
-            PageKind::MapPage => {
-                let i = PageKind::table_index(lpid) as u32;
-                let old = self.mapping.small_addr(i);
-                self.mapping.mark_page_flushed(i, new_packed);
-                old
-            }
-            PageKind::SmallPage => {
-                let i = PageKind::table_index(lpid) as usize;
-                let old = self.mapping.tiny_addr(i);
-                self.mapping.set_tiny_addr(i, new_packed);
-                old
-            }
-            PageKind::SummaryPage => {
-                let i = PageKind::table_index(lpid) as usize;
-                let old = self.summary.page_addr(i);
-                self.summary.set_page_addr(i, new_packed);
-                old
-            }
-        })
+        Ok(())
     }
 
     fn install_conditional(
@@ -1700,13 +1584,13 @@ impl Eleos {
 
     /// Abort the failed action and migrate the poisoned EBLOCK's committed
     /// LPAGEs to new locations. The caller's buffer must be retried.
-    fn handle_write_failure(
+    fn handle_write_failure<T>(
         &mut self,
         id: ActionId,
         plan: &Plan,
         failed: WblockAddr,
         depth: u8,
-    ) -> Result<ActionResult> {
+    ) -> Result<T> {
         self.stats.aborts += 1;
         self.note_program_failure(failed.eblock);
         let abort_lsn = self.log_append(&LogRecord::Abort { action: id })?;

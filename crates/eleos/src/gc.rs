@@ -438,7 +438,7 @@ impl Eleos {
         } = std::mem::take(pass);
         if !pages.is_empty() {
             match self.execute(ActionKind::Gc, &[], &pages, &plan, false) {
-                Ok(r) => self.dev.clock_mut().wait_until(r.done_at),
+                Ok(t) => self.dev.clock_mut().wait_until(t),
                 Err(EleosError::ActionAborted) => {
                     self.stats.gc_relocation_aborts += 1;
                     return Ok(false);

@@ -121,7 +121,7 @@ impl MappingTable {
         (lpid as usize / self.per_page) as u32
     }
 
-    fn check_lpid(&self, lpid: Lpid) -> Result<()> {
+    pub(crate) fn check_lpid(&self, lpid: Lpid) -> Result<()> {
         if lpid >= MAP_PAGE_BASE {
             return Err(EleosError::ReservedLpid(lpid));
         }

@@ -324,23 +324,8 @@ impl Eleos {
                     wsn: 0,
                 })?;
                 let tag = self.wal.next_lsn();
-                for &(lpid, new, _) in &p.writes {
-                    if PageKind::of(lpid) != PageKind::User {
-                        continue;
-                    }
-                    let old = self.mapping.set(lpid, new, tag, &mut self.dev)?;
-                    if old != crate::phys::NULL_PADDR {
-                        let lsn = self.log_append(&LogRecord::OldAddr {
-                            action: p.id,
-                            lpid,
-                            old_addr: old,
-                        })?;
-                        if let Some(oa) = PhysAddr::unpack(old) {
-                            self.summary
-                                .update(oa.eblock_addr(), lsn, |d| d.avail += oa.len);
-                        }
-                    }
-                }
+                let installs = p.writes.iter().map(|&(lpid, new, _)| (PageKind::User, lpid, new));
+                self.install(p.id, installs, tag)?;
                 self.log_append(&LogRecord::Done { action: p.id })?;
             } else {
                 let abort_lsn = self.log_append(&LogRecord::Abort { action: p.id })?;

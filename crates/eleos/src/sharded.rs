@@ -4,18 +4,21 @@
 //! shards, each owning its own flash device (channels, WAL, GC, mapping,
 //! telemetry ledger). [`ShardedEleos`] is the router: it splits a client
 //! batch into per-shard sub-batches and commits groups that straddle
-//! shards atomically with a **two-phase group commit** — every participant forces a `Prepare { gid }` record after
-//! its data programs, the coordinator (shard 0) forces `CoordCommit
-//! { gid }`, and only then do participants install and `Commit`. A crash
+//! shards atomically with a **two-phase group commit** — every
+//! participant forces a `Prepare { gid }` record after its data programs,
+//! the coordinator (shard 0) forces `CoordCommit { gid }`, and only then
+//! do participants `Commit` and install. A crash
 //! anywhere in that window never exposes a half-applied group: recovery
 //! replays each shard, collects prepared-but-undecided actions, and
 //! resolves them against the coordinator's durable gid set (redo if
 //! present, roll back otherwise), logging the verdict locally so a second
 //! crash re-resolves identically.
 //!
-//! Groups that land entirely on one shard bypass 2PC and take the exact
-//! direct [`Eleos::write`] / [`Eleos::delete_batch`] path — a 1-shard
-//! router is byte-identical to an unsharded controller.
+//! Groups that land entirely on one shard bypass 2PC and take the direct
+//! [`Eleos::write`] / [`Eleos::delete_batch`] path — a 1-shard router is
+//! byte-identical to an unsharded controller. Both paths run the same
+//! shard-local steps (stage → `Prepare` or `Commit` → install → `Done`);
+//! the direct path is the case with one participant.
 //!
 //! ## Simulated time
 //!
@@ -34,7 +37,7 @@ use std::collections::HashSet;
 
 use crate::batch::{parse_batch, WriteBatch, ENTRY_HEADER};
 use crate::config::EleosConfig;
-use crate::controller::{BatchAck, Eleos, PreparedAction, WriteOpts};
+use crate::controller::{BatchAck, Eleos, StagedAction, WriteOpts};
 use crate::error::{EleosError, Result};
 use crate::telemetry_snapshot::TelemetrySnapshot;
 use crate::types::{Lpid, Sid, Wsn};
@@ -264,7 +267,7 @@ impl ShardedEleos {
         // parallel). A prepare failure aborts the already-prepared
         // siblings and surfaces to the caller (retryable like the direct
         // path's `ActionAborted`).
-        let mut prepared: Vec<(usize, PreparedAction)> = Vec::with_capacity(subs.len());
+        let mut prepared: Vec<(usize, StagedAction)> = Vec::with_capacity(subs.len());
         for (s, sub) in &subs {
             self.shards[*s].device_mut().clock_mut().wait_until(now);
             match self.shards[*s].prepare_write(sub, gid) {
@@ -302,7 +305,7 @@ impl ShardedEleos {
         let gid = self.next_gid;
         self.next_gid += 1;
         let now = self.host_now();
-        let mut prepared: Vec<(usize, PreparedAction)> = Vec::with_capacity(involved.len());
+        let mut prepared: Vec<(usize, StagedAction)> = Vec::with_capacity(involved.len());
         for &s in &involved {
             self.shards[s].device_mut().clock_mut().wait_until(now);
             match self.shards[s].prepare_delete(&per_shard[s], gid) {
@@ -323,7 +326,7 @@ impl ShardedEleos {
     fn finish_group(
         &mut self,
         gid: u64,
-        prepared: Vec<(usize, PreparedAction)>,
+        prepared: Vec<(usize, StagedAction)>,
         lpages: usize,
         advances: &[(Sid, Wsn)],
     ) -> Result<BatchAck> {
@@ -331,7 +334,7 @@ impl ShardedEleos {
         // `Prepare` is durable.
         let all_prepared = prepared
             .iter()
-            .map(|(_, p)| p.prepared_durable)
+            .map(|(_, p)| p.durable)
             .max()
             .unwrap_or(0);
         self.shards[0]

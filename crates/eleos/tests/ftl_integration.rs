@@ -1,7 +1,11 @@
 //! Integration tests: the full ELEOS FTL against a shadow model, under
 //! overwrite pressure (GC), crashes, and injected write failures.
 
-use eleos::{Eleos, EleosConfig, EleosError, GcPolicy, PageMode, WriteBatch, WriteOpts};
+use eleos::types::MAP_PAGE_BASE;
+use eleos::{
+    shard_of_lpid, Eleos, EleosConfig, EleosError, GcPolicy, PageMode, ShardedEleos, WriteBatch,
+    WriteOpts,
+};
 use eleos_flash::{CostProfile, FlashDevice, Geometry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -522,9 +526,67 @@ fn delete_frees_space_for_gc() {
     // Batch boundaries: empty and reserved-lpid deletes rejected.
     assert!(matches!(ssd.delete_batch(&[]), Err(EleosError::EmptyBatch)));
     assert!(matches!(
-        ssd.delete_batch(&[eleos::types::MAP_PAGE_BASE]),
+        ssd.delete_batch(&[MAP_PAGE_BASE]),
         Err(EleosError::ReservedLpid(_))
     ));
+    // A reserved LPID after the first is rejected before anything is
+    // logged: a logged first record would pin log truncation for good,
+    // and the churn below would then run the device out of space.
+    assert!(matches!(
+        ssd.delete_batch(&[1, MAP_PAGE_BASE]),
+        Err(EleosError::ReservedLpid(_))
+    ));
+    for round in 0..2000u64 {
+        let mut batch = WriteBatch::new(PageMode::Variable);
+        for _ in 0..16 {
+            let lpid = rng.gen_range(0..2048u64);
+            batch.put(lpid, &payload(lpid, round, 3000)).unwrap();
+        }
+        ssd.write(&batch, WriteOpts::default())
+            .unwrap_or_else(|e| panic!("batch {round} after the rejected delete: {e:?}"));
+    }
+}
+
+#[test]
+fn lpids_past_the_map_range_are_rejected_before_anything_changes() {
+    let far = cfg().max_user_lpid + 100_000;
+    let rejected = |r: eleos::Result<_>| matches!(r, Err(EleosError::NotFound(l)) if l == far);
+
+    // Direct write and delete: an error, and not a counter or clock tick
+    // moves; the device still recovers.
+    let mut ssd = Eleos::format(small_dev(), cfg()).unwrap();
+    let mut b = WriteBatch::new(PageMode::Variable);
+    b.put(1, b"one").unwrap();
+    b.put(2, b"two").unwrap();
+    ssd.write(&b, WriteOpts::default()).unwrap();
+    let before = ssd.snapshot().to_json();
+    let mut bad = WriteBatch::new(PageMode::Variable);
+    bad.put(2, b"lost").unwrap();
+    bad.put(far, b"far").unwrap();
+    assert!(rejected(ssd.write(&bad, WriteOpts::default()).map(drop)));
+    assert!(rejected(ssd.delete_batch(&[1, far])));
+    assert_eq!(ssd.snapshot().to_json(), before);
+    let mut ssd = Eleos::recover(ssd.crash(), cfg()).unwrap();
+    assert_eq!(ssd.read(1).unwrap(), b"one");
+    assert_eq!(ssd.read(2).unwrap(), b"two");
+
+    // A cross-shard group whose far LPID sits on the second shard: the
+    // first shard's prepare is rolled back and nothing is installed.
+    let far = (far..).find(|&l| shard_of_lpid(l, 2) == 1).unwrap();
+    let near = (0..).find(|&l| shard_of_lpid(l, 2) == 0).unwrap();
+    let devs = (0..2).map(|_| small_dev()).collect();
+    let mut sh = ShardedEleos::format(devs, &cfg()).unwrap();
+    let mut b = WriteBatch::new(PageMode::Variable);
+    b.put(near, b"near").unwrap();
+    sh.write_group(&b).unwrap();
+    let mut bad = WriteBatch::new(PageMode::Variable);
+    bad.put(near, b"lost").unwrap();
+    bad.put(far, b"far").unwrap();
+    assert!(matches!(sh.write_group(&bad), Err(EleosError::NotFound(l)) if l == far));
+    assert!(matches!(sh.delete_batch(&[near, far]), Err(EleosError::NotFound(l)) if l == far));
+    assert_eq!(sh.read(near).unwrap(), b"near");
+    let mut sh = ShardedEleos::recover(sh.crash(), &cfg()).unwrap();
+    assert_eq!(sh.read(near).unwrap(), b"near");
 }
 
 #[test]

@@ -6,7 +6,8 @@
 # lint-clean at -D warnings, the crash sweeps (single controller and
 # sharded), mapping-cache equivalence, the GC-pass gates (deferred
 # completion, fault and power-cut sweeps over a multi-round pass, GC reads
-# and relocation actions, the simulation fingerprint), the GC policy lab
+# and relocation actions, the simulation fingerprint — which also pins a
+# 2-shard group-commit script), the GC policy lab
 # smoke, the host front-end gates (group commit vs serial, refinement
 # proptest), the sharded-router gates (1-shard identity, monotonic shard
 # scaling, sharded refinement proptest, sharded telemetry), bounded
@@ -55,7 +56,9 @@ echo "== GC pass gates (deferred completion, fault sweeps, GC reads, fingerprint
 # at every ordinal of a multi-round pass keeps it all-or-none, and the
 # root guard bounds GC bytes read per byte moved and relocation actions
 # per victim. The fingerprint pins every snapshot counter and the final
-# simulated clock of a GC churn and of a paged-map script against
+# simulated clock of a GC churn, of a paged-map script and, per shard, of
+# a 2-shard group-commit script (cross- and single-shard groups with
+# session advances, deletes, direct ordered writes, a crash) against
 # tests/data/sim_fingerprint.txt: a host-only change must leave it as is.
 cargo test -q --release -p eleos --test pipelining
 cargo test -q --release -p eleos --test fault_paths
