@@ -327,6 +327,18 @@ struct OverlapRun {
     overlap: f64,
 }
 
+impl OverlapRun {
+    /// The phase of `ops` operations since `start`: the virtual time and
+    /// the device's total channel busy time when the phase began.
+    fn since(ssd: &Eleos, ops: u64, (t0, busy0): (Nanos, Nanos)) -> OverlapRun {
+        let sim_ns = ssd.now() - t0;
+        let stats = ssd.device().stats();
+        let channels = stats.channel_busy_ns.len() as u64;
+        let overlap = (stats.total_busy_ns() - busy0) as f64 / (channels * sim_ns) as f64;
+        OverlapRun { ops, sim_ns, overlap }
+    }
+}
+
 fn overlap_ssd(records: u64, geo: Geometry, profile: CostProfile) -> Eleos {
     let cfg = EleosConfig {
         max_user_lpid: records + 1,
@@ -372,8 +384,7 @@ fn overlap_gc_heavy(geo: Geometry, records: u64, overwrites: u64) -> OverlapRun 
     let mut rng = StdRng::seed_from_u64(0x60C0);
     load_sequential(&mut ssd, records, &mut rng);
 
-    let t0 = ssd.now();
-    let s0 = ssd.device().stats().clone();
+    let start = (ssd.now(), ssd.device().stats().total_busy_ns());
     let mut batch = WriteBatch::new(PageMode::Variable);
     for _ in 0..overwrites {
         let lpid = rng.gen_range(0..records);
@@ -387,12 +398,7 @@ fn overlap_gc_heavy(geo: Geometry, records: u64, overwrites: u64) -> OverlapRun 
         ssd.write(&batch, WriteOpts::default()).expect("overwrite");
     }
     ssd.drain();
-    let elapsed = ssd.now() - t0;
-    OverlapRun {
-        ops: overwrites,
-        sim_ns: elapsed,
-        overlap: ssd.device().stats().since(&s0).overlap_ratio(elapsed),
-    }
+    OverlapRun::since(&ssd, overwrites, start)
 }
 
 /// Point-read phase: load, then uniform point reads in groups of
@@ -413,8 +419,7 @@ fn overlap_reads(
     let mut rng = StdRng::seed_from_u64(0xBA7C);
     load_sequential(&mut ssd, records, &mut rng);
 
-    let t0 = ssd.now();
-    let s0 = ssd.device().stats().clone();
+    let start = (ssd.now(), ssd.device().stats().total_busy_ns());
     let mut done = 0u64;
     let mut lpids = Vec::with_capacity(batch_size);
     while done < reads {
@@ -431,12 +436,7 @@ fn overlap_reads(
             }
         }
     }
-    let elapsed = ssd.now() - t0;
-    OverlapRun {
-        ops: reads,
-        sim_ns: elapsed,
-        overlap: ssd.device().stats().since(&s0).overlap_ratio(elapsed),
-    }
+    OverlapRun::since(&ssd, reads, start)
 }
 
 /// Throughput and channel utilization for the two scenarios the scheduler

@@ -33,19 +33,21 @@ struct CachedPage {
     referenced: bool,
 }
 
-/// Observational cache counters (never feed back into control flow, so
-/// they cannot perturb the simulation).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MapCacheStats {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Demand loads (page absent from the cache).
-    pub misses: u64,
-    /// Misses that read a translation page from flash (the rest were
-    /// never-flushed pages materialized as all-unmapped).
-    pub flash_loads: u64,
-    /// Clean pages dropped by the replacement policy.
-    pub evictions: u64,
+eleos_flash::counters! {
+    /// Observational cache counters (never feed back into control flow, so
+    /// they cannot perturb the simulation).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct MapCacheStats {
+        /// Lookups served from the cache.
+        pub hits: u64,
+        /// Demand loads (page absent from the cache).
+        pub misses: u64,
+        /// Misses that read a translation page from flash (the rest were
+        /// never-flushed pages materialized as all-unmapped).
+        pub flash_loads: u64,
+        /// Clean pages dropped by the replacement policy.
+        pub evictions: u64,
+    }
 }
 
 /// The mapping-table hierarchy.

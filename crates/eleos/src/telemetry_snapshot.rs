@@ -1,11 +1,11 @@
 //! The unified controller observability snapshot (DESIGN.md §10).
 //!
 //! [`Eleos::snapshot`](crate::Eleos::snapshot) returns one coherent view
-//! of everything observable at the current simulated instant, replacing the
-//! old accessor sprawl (`stats()`, `overlap_ratio()`, `channel_busy_ns()`,
-//! `mapping_cached_pages()`). A snapshot is a plain value: benches diff two
-//! of them, merge ledgers across phases, and render attribution tables
-//! without re-touching the controller.
+//! of everything observable at the current simulated instant, and
+//! [`TelemetrySnapshot::visit`] lists every metric in it once for its
+//! renderings. A snapshot is a plain value: benches diff two of them,
+//! merge ledgers across phases, and render attribution tables without
+//! re-touching the controller.
 //!
 //! The **conservation check** lives here: the attribution ledger is
 //! maintained at the charge sites (flash submit, `FlashDevice::cpu`),
@@ -116,102 +116,56 @@ impl TelemetrySnapshot {
         None
     }
 
-    /// Render the snapshot as one JSON object (hand-rolled — the workspace
-    /// carries no serde). Schema:
-    ///
-    /// ```json
-    /// {
-    ///   "now_ns": u64, "cpu_busy_ns": u64, "total_busy_ns": u64,
-    ///   "unattributed_cpu_ns": u64, "mapping_cached_pages": u64,
-    ///   "map_cache": { "hits": .., "misses": .., "flash_loads": ..,
-    ///                  "evictions": .. },
-    ///   "flash": { "programs": .., "bytes_programmed": .., "rblock_reads": ..,
-    ///              "bytes_read": .., "erases": .., "program_failures": ..,
-    ///              "total_busy_ns": .. },
-    ///   "cpu_attr_ns": { "<activity>": u64, .. },
-    ///   "flash_attr_ns": { "<activity>": { "program": u64, "read": u64,
-    ///                                      "erase": u64 }, .. },
-    ///   "spans": { "<kind>": { "count": .., "p50_ns": .., "p95_ns": ..,
-    ///                          "p99_ns": .., "max_ns": .., "mean_ns": .. }, .. },
-    ///   "conservation_ok": bool
-    /// }
-    /// ```
+    /// Calls `f(key, value)` for every metric of the snapshot, each key
+    /// once, in this order: `now_ns`, `cpu_busy_ns`; `eleos.<counter>`,
+    /// `flash.<counter>`, `flash.channel_busy_ns.<channel>`;
+    /// `mapping.cached_pages`, `mapping.<counter>`; per [`Activity`],
+    /// `ledger.cpu.<activity>` then `ledger.flash.<activity>.<op>`; per
+    /// [`SpanKind`], `span.<kind>.{count,sum,p50,p99,max}`. Counter names
+    /// come from the `counters!` declarations of [`EleosStats`],
+    /// [`FlashStats`] and [`MapCacheStats`], so a new counter reaches the
+    /// JSON and the simulation fingerprint unasked. Keys are formatted on
+    /// the fly: call this from rendering code only, never from a path
+    /// that serves a request.
+    pub fn visit(&self, mut f: impl FnMut(&str, u64)) {
+        let mut put = |key: std::fmt::Arguments, v: u64| f(&key.to_string(), v);
+        put(format_args!("now_ns"), self.now);
+        put(format_args!("cpu_busy_ns"), self.cpu_busy_ns);
+        self.eleos.visit(|n, v| put(format_args!("eleos.{n}"), v));
+        self.flash.visit(|n, v| put(format_args!("flash.{n}"), v));
+        for (ch, &ns) in self.flash.channel_busy_ns.iter().enumerate() {
+            put(format_args!("flash.channel_busy_ns.{ch}"), ns);
+        }
+        put(format_args!("mapping.cached_pages"), self.mapping_cached_pages as u64);
+        self.map_cache.visit(|n, v| put(format_args!("mapping.{n}"), v));
+        for a in Activity::ALL {
+            put(format_args!("ledger.cpu.{}", a.label()), self.ledger.cpu_ns(a));
+            for op in FlashOp::ALL {
+                let ns = self.ledger.op_activity_ns(op, a);
+                put(format_args!("ledger.flash.{}.{}", a.label(), op.label()), ns);
+            }
+        }
+        for k in SpanKind::ALL {
+            let h = self.span(k);
+            let stats = [h.count(), h.sum(), h.p50(), h.p99(), h.max()];
+            for (stat, v) in ["count", "sum", "p50", "p99", "max"].into_iter().zip(stats) {
+                put(format_args!("span.{}.{stat}", k.label()), v);
+            }
+        }
+    }
+
+    /// Render the snapshot as one flat JSON object (hand-rolled — the
+    /// workspace carries no serde): every [`TelemetrySnapshot::visit`]
+    /// key with its value, then the derived `total_busy_ns`,
+    /// `unattributed_cpu_ns` and `conservation_ok` (a bool).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(2048);
-        s.push('{');
+        let mut s = String::from("{");
+        self.visit(|k, v| s.push_str(&format!("\"{k}\":{v},")));
         let _ = write!(
             s,
-            "\"now_ns\":{},\"cpu_busy_ns\":{},\"total_busy_ns\":{},\
-             \"unattributed_cpu_ns\":{},\"mapping_cached_pages\":{}",
-            self.now,
-            self.cpu_busy_ns,
+            "\"total_busy_ns\":{},\"unattributed_cpu_ns\":{},\"conservation_ok\":{}}}",
             self.total_busy_ns(),
             self.unattributed_cpu_ns(),
-            self.mapping_cached_pages
-        );
-        let _ = write!(
-            s,
-            ",\"map_cache\":{{\"hits\":{},\"misses\":{},\"flash_loads\":{},\"evictions\":{}}}",
-            self.map_cache.hits,
-            self.map_cache.misses,
-            self.map_cache.flash_loads,
-            self.map_cache.evictions
-        );
-        let _ = write!(
-            s,
-            ",\"flash\":{{\"programs\":{},\"bytes_programmed\":{},\"rblock_reads\":{},\
-             \"bytes_read\":{},\"erases\":{},\"program_failures\":{},\"total_busy_ns\":{}}}",
-            self.flash.programs,
-            self.flash.bytes_programmed,
-            self.flash.rblock_reads,
-            self.flash.bytes_read,
-            self.flash.erases,
-            self.flash.program_failures,
-            self.flash.total_busy_ns()
-        );
-        s.push_str(",\"cpu_attr_ns\":{");
-        for (i, a) in Activity::ALL.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{}\":{}", a.label(), self.ledger.cpu_ns(*a));
-        }
-        s.push_str("},\"flash_attr_ns\":{");
-        for (i, a) in Activity::ALL.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{}\":{{", a.label());
-            for (j, op) in FlashOp::ALL.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "\"{}\":{}", op.label(), self.ledger.op_activity_ns(*op, *a));
-            }
-            s.push('}');
-        }
-        s.push_str("},\"spans\":{");
-        for (i, k) in SpanKind::ALL.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let h = self.span(*k);
-            let _ = write!(
-                s,
-                "\"{}\":{{\"count\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\
-                 \"max_ns\":{},\"mean_ns\":{:.1}}}",
-                k.label(),
-                h.count(),
-                h.p50(),
-                h.p95(),
-                h.p99(),
-                h.max(),
-                h.mean()
-            );
-        }
-        let _ = write!(
-            s,
-            "}},\"conservation_ok\":{}}}",
             self.conservation_error().is_none()
         );
         s
@@ -259,27 +213,7 @@ impl MergedSnapshot {
     pub fn eleos(&self) -> EleosStats {
         let mut t = EleosStats::default();
         for s in &self.shards {
-            let e = &s.eleos;
-            t.batches += e.batches;
-            t.lpages += e.lpages;
-            t.payload_bytes += e.payload_bytes;
-            t.stored_bytes += e.stored_bytes;
-            t.reads += e.reads;
-            t.read_bytes += e.read_bytes;
-            t.commits += e.commits;
-            t.aborts += e.aborts;
-            t.gc_collections += e.gc_collections;
-            t.gc_moved_pages += e.gc_moved_pages;
-            t.gc_moved_bytes += e.gc_moved_bytes;
-            t.gc_erases += e.gc_erases;
-            t.migrations += e.migrations;
-            t.checkpoints += e.checkpoints;
-            t.gc_installs_aborted += e.gc_installs_aborted;
-            t.program_failures += e.program_failures;
-            t.action_retries += e.action_retries;
-            t.gc_relocation_aborts += e.gc_relocation_aborts;
-            t.wal_fallbacks += e.wal_fallbacks;
-            t.retired_eblocks += e.retired_eblocks;
+            t.add(&s.eleos);
         }
         t
     }
@@ -289,14 +223,8 @@ impl MergedSnapshot {
     pub fn flash(&self) -> FlashStats {
         let mut t = FlashStats::default();
         for s in &self.shards {
-            let f = &s.flash;
-            t.programs += f.programs;
-            t.program_failures += f.program_failures;
-            t.bytes_programmed += f.bytes_programmed;
-            t.rblock_reads += f.rblock_reads;
-            t.bytes_read += f.bytes_read;
-            t.erases += f.erases;
-            t.channel_busy_ns.extend_from_slice(&f.channel_busy_ns);
+            t.add(&s.flash);
+            t.channel_busy_ns.extend_from_slice(&s.flash.channel_busy_ns);
         }
         t
     }
@@ -305,10 +233,7 @@ impl MergedSnapshot {
     pub fn map_cache(&self) -> MapCacheStats {
         let mut t = MapCacheStats::default();
         for s in &self.shards {
-            t.hits += s.map_cache.hits;
-            t.misses += s.map_cache.misses;
-            t.flash_loads += s.map_cache.flash_loads;
-            t.evictions += s.map_cache.evictions;
+            t.add(&s.map_cache);
         }
         t
     }
@@ -392,6 +317,7 @@ impl MergedSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn empty_snapshot(channels: usize) -> TelemetrySnapshot {
         TelemetrySnapshot {
@@ -436,28 +362,89 @@ mod tests {
         assert!(s.conservation_error().is_some());
     }
 
+    /// A 2-channel snapshot whose counters are all distinct and non-zero.
+    #[rustfmt::skip]
+    fn counted(b: u64) -> TelemetrySnapshot {
+        TelemetrySnapshot {
+            eleos: EleosStats {
+                batches: b, lpages: b + 1, payload_bytes: b + 2, stored_bytes: b + 3,
+                reads: b + 4, read_bytes: b + 5, commits: b + 6, aborts: b + 7,
+                gc_collections: b + 8, gc_moved_pages: b + 9, gc_moved_bytes: b + 10,
+                gc_erases: b + 11, migrations: b + 12, checkpoints: b + 13,
+                gc_installs_aborted: b + 14, program_failures: b + 15, action_retries: b + 16,
+                gc_relocation_aborts: b + 17, wal_fallbacks: b + 18, retired_eblocks: b + 19,
+            },
+            flash: FlashStats {
+                programs: b + 20, program_failures: b + 21, bytes_programmed: b + 22,
+                rblock_reads: b + 23, bytes_read: b + 24, erases: b + 25,
+                channel_busy_ns: vec![0; 2],
+            },
+            map_cache: MapCacheStats {
+                hits: b + 26, misses: b + 27, flash_loads: b + 28, evictions: b + 29,
+            },
+            ..empty_snapshot(2)
+        }
+    }
+
+    /// Every visited key mapped to its value.
+    fn visited(s: &TelemetrySnapshot) -> BTreeMap<String, u64> {
+        let mut keys = BTreeMap::new();
+        s.visit(|k, v| assert!(keys.insert(k.to_string(), v).is_none(), "{k} twice"));
+        keys
+    }
+
+    #[test]
+    fn json_sees_every_counter() {
+        let (a, mut b) = (empty_snapshot(2), empty_snapshot(2));
+        b.eleos.aborts = 1;
+        // The same count, quantiles and max; one more nanosecond in total.
+        let spans = |last: u64| {
+            let mut s = empty_snapshot(2);
+            for v in [896, 1100, last].into_iter().chain([1000; 97]) {
+                s.spans[SpanKind::Read.index()].record(v);
+            }
+            s
+        };
+        for (x, y, key) in [(a, b, "eleos.aborts"), (spans(1000), spans(1001), "span.read.sum")] {
+            let (vx, vy) = (visited(&x), visited(&y));
+            assert_eq!(vx.keys().filter(|&k| vx[k] != vy[k]).collect::<Vec<_>>(), [key]);
+            assert_ne!(x.to_json(), y.to_json(), "{key} is missing from the JSON");
+        }
+    }
+
     #[test]
     fn merge_sums_counters_and_keeps_conservation_per_shard() {
-        let mut a = empty_snapshot(2);
+        let mut a = counted(1);
         a.now = 100;
         a.cpu_busy_ns = 10;
-        a.eleos.batches = 3;
-        a.flash.bytes_programmed = 1000;
         a.flash.channel_busy_ns[0] = 50;
         a.ledger.charge_flash(0, FlashOp::Program, Activity::UserWrite, 50);
         a.spans[SpanKind::WriteBatch.index()].record(500);
-        let mut b = empty_snapshot(2);
+        let mut b = counted(100);
         b.now = 400;
         b.cpu_busy_ns = 5;
-        b.eleos.batches = 2;
-        b.flash.bytes_programmed = 200;
         b.spans[SpanKind::WriteBatch.index()].record(900);
+        let (va, vb) = (visited(&a), visited(&b));
         let m = TelemetrySnapshot::merge(vec![a, b]);
+        // Every scalar counter of the merge is the sum over the shards.
+        let merged = TelemetrySnapshot {
+            eleos: m.eleos(),
+            flash: m.flash(),
+            map_cache: m.map_cache(),
+            ..empty_snapshot(0)
+        };
+        let mut summed = 0;
+        for (k, v) in visited(&merged) {
+            let counter = ["eleos.", "flash.", "mapping."].iter().any(|p| k.starts_with(p));
+            if counter && !k.starts_with("flash.channel_busy_ns.") && k != "mapping.cached_pages" {
+                assert_eq!(v, va[&k] + vb[&k], "{k}");
+                summed += 1;
+            }
+        }
+        assert_eq!(summed, 30);
         assert_eq!(m.now(), 400);
         assert_eq!(m.cpu_busy_ns(), 15);
-        assert_eq!(m.eleos().batches, 5);
-        assert_eq!(m.flash().bytes_programmed, 1200);
-        assert_eq!(m.flash().channel_busy_ns.len(), 4, "channels concatenate");
+        assert_eq!(m.flash().channel_busy_ns, [50, 0, 0, 0], "channels concatenate");
         assert_eq!(m.span(SpanKind::WriteBatch).count(), 2);
         assert!(m.conservation_error().is_none());
         // Rows are labeled by shard id; only shard 0 has busy time here.
@@ -485,49 +472,35 @@ mod tests {
     }
 
     #[test]
-    fn json_has_the_documented_keys() {
-        let mut s = empty_snapshot(2);
+    fn json_has_every_visited_key() {
+        let mut s = counted(1);
         s.now = 1234;
         s.cpu_busy_ns = 77;
         s.flash.channel_busy_ns[0] = 900;
         s.ledger.charge_flash(0, FlashOp::Read, Activity::Gc, 900);
         s.spans[SpanKind::WriteBatch.index()].record(1000);
         let j = s.to_json();
-        for key in [
-            "\"now_ns\":1234",
-            "\"cpu_busy_ns\":77",
-            "\"total_busy_ns\":",
-            "\"unattributed_cpu_ns\":",
-            "\"mapping_cached_pages\":",
-            "\"map_cache\":{",
-            "\"hits\":",
-            "\"misses\":",
-            "\"flash_loads\":",
-            "\"evictions\":",
-            "\"flash\":{",
-            "\"cpu_attr_ns\":{",
-            "\"flash_attr_ns\":{",
-            "\"spans\":{",
-            "\"write_batch\":{\"count\":1",
-            "\"group_flush\":{",
-            "\"p99_ns\":",
-            "\"conservation_ok\":true",
-        ] {
-            assert!(j.contains(key), "missing {key} in {j}");
+        let keys = visited(&s);
+        for (k, v) in &keys {
+            assert!(j.contains(&format!("\"{k}\":{v},")), "missing {k}:{v} in {j}");
         }
-        // Every activity row appears in both attribution maps.
-        let (cpu_attr, rest) = j.split_once("\"flash_attr_ns\":").expect("flash_attr_ns");
-        let (flash_attr, _) = rest.split_once("\"spans\":").expect("spans");
+        // No other key but the three derived ones, and nothing nested.
+        assert_eq!(j.matches("\":").count(), keys.len() + 3, "{j}");
+        assert!(j.contains("\"total_busy_ns\":") && j.contains("\"unattributed_cpu_ns\":"), "{j}");
+        assert!(j.ends_with(",\"conservation_ok\":true}"), "{j}");
+        assert_eq!((j.matches('{').count(), j.matches('}').count()), (1, 1), "{j}");
+        let has = |k: String| assert!(keys.contains_key(&k), "{k} is not visited");
+        (0..2).for_each(|ch| has(format!("flash.channel_busy_ns.{ch}")));
         for a in Activity::ALL {
-            let key = format!("\"{}\":", a.label());
-            assert!(cpu_attr.contains(&key), "{key} missing from cpu_attr_ns: {j}");
-            assert!(flash_attr.contains(&key), "{key} missing from flash_attr_ns: {j}");
+            has(format!("ledger.cpu.{}", a.label()));
+            for op in FlashOp::ALL {
+                has(format!("ledger.flash.{}.{}", a.label(), op.label()));
+            }
         }
-        // Balanced braces (cheap well-formedness check without a parser).
-        assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "unbalanced JSON: {j}"
-        );
+        for k in SpanKind::ALL {
+            for stat in ["count", "sum", "p50", "p99", "max"] {
+                has(format!("span.{}.{stat}", k.label()));
+            }
+        }
     }
 }

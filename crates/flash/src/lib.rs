@@ -43,5 +43,6 @@ pub use stats::FlashStats;
 // Telemetry primitives travel with the device that records into them
 // (DESIGN.md §10); re-exported so downstream crates need no direct dep.
 pub use eleos_telemetry::{
-    Activity, AttributionLedger, Event, EventRing, FlashOp, LatencyHistogram, SpanKind, Telemetry,
+    counters, Activity, AttributionLedger, Event, EventRing, FlashOp, LatencyHistogram, SpanKind,
+    Telemetry,
 };

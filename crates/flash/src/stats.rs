@@ -4,69 +4,31 @@
 //! amount of data written to the SSD during benchmarks", i.e.
 //! [`FlashStats::bytes_programmed`].
 
-/// Monotonic counters, updated by every device operation.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FlashStats {
-    /// Successful WBLOCK programs.
-    pub programs: u64,
-    /// Program attempts that failed (injected or endurance).
-    pub program_failures: u64,
-    /// Bytes written by successful programs (whole WBLOCKs).
-    pub bytes_programmed: u64,
-    /// RBLOCK read operations.
-    pub rblock_reads: u64,
-    /// Bytes transferred by reads (whole RBLOCKs).
-    pub bytes_read: u64,
-    /// EBLOCK erases.
-    pub erases: u64,
-    /// Busy nanoseconds accumulated per channel (programs, reads and
-    /// erases, including failed programs — the channel was occupied either
-    /// way). One slot per channel; the device sizes the vector at
-    /// construction.
-    pub channel_busy_ns: Vec<u64>,
+crate::counters! {
+    /// Monotonic counters, updated by every device operation.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct FlashStats {
+        /// Successful WBLOCK programs.
+        pub programs: u64,
+        /// Program attempts that failed (injected or endurance).
+        pub program_failures: u64,
+        /// Bytes written by successful programs (whole WBLOCKs).
+        pub bytes_programmed: u64,
+        /// RBLOCK read operations.
+        pub rblock_reads: u64,
+        /// Bytes transferred by reads (whole RBLOCKs).
+        pub bytes_read: u64,
+        /// EBLOCK erases.
+        pub erases: u64;
+        /// Busy nanoseconds accumulated per channel (programs, reads and
+        /// erases, including failed programs — the channel was occupied
+        /// either way). One slot per channel; the device sizes the vector
+        /// at construction.
+        pub channel_busy_ns: Vec<u64>,
+    }
 }
 
 impl FlashStats {
-    /// Difference since an earlier snapshot (for per-phase accounting).
-    ///
-    /// Counters are monotonic, so every field of `earlier` should be `<=`
-    /// the corresponding field of `self`; that invariant is checked with
-    /// `debug_assert`s. Release builds saturate instead of panicking, and
-    /// channels present in only one snapshot (the vectors are sized lazily
-    /// at device construction) are treated as zero on the other side.
-    pub fn since(&self, earlier: &FlashStats) -> FlashStats {
-        fn sub(later: u64, earlier: u64, what: &str) -> u64 {
-            debug_assert!(
-                later >= earlier,
-                "FlashStats::since: non-monotonic {what} ({later} < {earlier}) — \
-                 are the snapshots swapped?"
-            );
-            later.saturating_sub(earlier)
-        }
-        let slots = self.channel_busy_ns.len().max(earlier.channel_busy_ns.len());
-        FlashStats {
-            programs: sub(self.programs, earlier.programs, "programs"),
-            program_failures: sub(
-                self.program_failures,
-                earlier.program_failures,
-                "program_failures",
-            ),
-            bytes_programmed: sub(self.bytes_programmed, earlier.bytes_programmed, "bytes_programmed"),
-            rblock_reads: sub(self.rblock_reads, earlier.rblock_reads, "rblock_reads"),
-            bytes_read: sub(self.bytes_read, earlier.bytes_read, "bytes_read"),
-            erases: sub(self.erases, earlier.erases, "erases"),
-            channel_busy_ns: (0..slots)
-                .map(|i| {
-                    sub(
-                        self.channel_busy_ns.get(i).copied().unwrap_or(0),
-                        earlier.channel_busy_ns.get(i).copied().unwrap_or(0),
-                        "channel_busy_ns",
-                    )
-                })
-                .collect(),
-        }
-    }
-
     /// Total busy nanoseconds summed over all channels.
     pub fn total_busy_ns(&self) -> u64 {
         self.channel_busy_ns.iter().sum()
@@ -88,62 +50,6 @@ impl FlashStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn since_subtracts_fieldwise() {
-        let a = FlashStats {
-            programs: 10,
-            program_failures: 1,
-            bytes_programmed: 1000,
-            rblock_reads: 5,
-            bytes_read: 500,
-            erases: 2,
-            channel_busy_ns: vec![300, 700],
-        };
-        let b = FlashStats {
-            programs: 4,
-            program_failures: 0,
-            bytes_programmed: 400,
-            rblock_reads: 2,
-            bytes_read: 200,
-            erases: 1,
-            channel_busy_ns: vec![100, 200],
-        };
-        let d = a.since(&b);
-        assert_eq!(d.programs, 6);
-        assert_eq!(d.bytes_programmed, 600);
-        assert_eq!(d.erases, 1);
-        assert_eq!(d.channel_busy_ns, vec![200, 500]);
-    }
-
-    #[test]
-    fn since_pads_missing_channels_with_zero() {
-        // `FlashStats::default()` snapshots have an empty busy vector.
-        let a = FlashStats {
-            channel_busy_ns: vec![40, 50],
-            ..FlashStats::default()
-        };
-        let d = a.since(&FlashStats::default());
-        assert_eq!(d.channel_busy_ns, vec![40, 50]);
-    }
-
-    #[test]
-    fn since_keeps_channels_only_in_earlier() {
-        // A snapshot taken before the device grew its busy vector must not
-        // shrink the result: slots present in only one side count as zero
-        // on the other. (The old implementation iterated `self`'s slots
-        // only and silently dropped `earlier`'s extras.)
-        let a = FlashStats {
-            channel_busy_ns: vec![40],
-            ..FlashStats::default()
-        };
-        let b = FlashStats {
-            channel_busy_ns: vec![10, 0, 0],
-            ..FlashStats::default()
-        };
-        let d = a.since(&b);
-        assert_eq!(d.channel_busy_ns, vec![30, 0, 0]);
-    }
 
     #[test]
     fn overlap_ratio_bounds() {

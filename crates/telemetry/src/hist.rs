@@ -125,10 +125,6 @@ impl LatencyHistogram {
         self.quantile(0.50)
     }
 
-    pub fn p95(&self) -> u64 {
-        self.quantile(0.95)
-    }
-
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
     }

@@ -10,7 +10,7 @@
 //! Four primitives:
 //!
 //! * [`LatencyHistogram`] — log-bucketed (4 sub-buckets per octave, ≤ 25 %
-//!   relative error), mergeable, with p50/p95/p99/max;
+//!   relative error), mergeable, with p50/p99/max;
 //! * [`AttributionLedger`] — splits every simulated busy nanosecond by
 //!   resource (per-channel flash program/read/erase, controller CPU) ×
 //!   [`Activity`] (user write, user read, GC, checkpoint, WAL, recovery…);
@@ -18,6 +18,8 @@
 //!   `ELEOS_TRACE_EB` print hack;
 //! * [`Telemetry`] — the per-device container holding all of the above
 //!   plus the *current activity* used to attribute charges.
+//!
+//! [`counters!`] declares the counter structs, naming each counter once.
 
 #![forbid(unsafe_code)]
 
@@ -32,6 +34,43 @@ pub use ring::{Event, EventRing};
 /// Simulated nanoseconds (mirrors `eleos_flash::Nanos`; this crate is
 /// dependency-free so the flash crate can depend on it).
 pub type Nanos = u64;
+
+/// Declares a stats struct whose `pub u64` fields are its counters, so
+/// that each counter is named once. Besides the struct, with its doc
+/// comments and derives, it generates `visit(&self, f)`, which calls
+/// `f(field name, value)` for every counter in declaration order, and
+/// `add(&mut self, &Self)`, which adds every counter of the other value.
+/// Fields after a `;` (`pub erases: u64; pub channel_busy_ns: Vec<u64>`)
+/// are carried but neither visited nor added; their readers handle them
+/// by name.
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$cmeta:meta])* pub $counter:ident: u64 ),* $(,)?
+            $( ; $( $(#[$xmeta:meta])* pub $extra:ident: $xty:ty ),* $(,)? )?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $( $(#[$cmeta])* pub $counter: u64, )*
+            $($( $(#[$xmeta])* pub $extra: $xty, )*)?
+        }
+
+        impl $name {
+            /// Calls `f(field name, value)` for every counter, in declaration order.
+            pub fn visit(&self, mut f: impl FnMut(&'static str, u64)) {
+                $( f(stringify!($counter), self.$counter); )*
+            }
+
+            /// Adds every counter of `other` into `self`.
+            pub fn add(&mut self, other: &Self) {
+                $( self.$counter += other.$counter; )*
+            }
+        }
+    };
+}
 
 /// What the controller is doing when a resource is consumed. Attribution
 /// taxonomy of the ledger's columns.

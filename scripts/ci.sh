@@ -55,11 +55,15 @@ echo "== GC pass gates (deferred completion, fault sweeps, GC reads, fingerprint
 # several rounds read back across a crash, a program failure or power cut
 # at every ordinal of a multi-round pass keeps it all-or-none, and the
 # root guard bounds GC bytes read per byte moved and relocation actions
-# per victim. The fingerprint pins every snapshot counter and the final
-# simulated clock of a GC churn, of a paged-map script and, per shard, of
-# a 2-shard group-commit script (cross- and single-shard groups with
-# session advances, deletes, direct ordered writes, a crash) against
+# per victim. The fingerprint writes every key TelemetrySnapshot::visit
+# yields (the final simulated clock, every counter, the ledger, the span
+# summaries) for a GC churn, a paged-map script and, per shard, a 2-shard
+# group-commit script (cross- and single-shard groups with session
+# advances, deletes, direct ordered writes, a crash) against
 # tests/data/sim_fingerprint.txt: a host-only change must leave it as is.
+# It pins every counter by construction: adding one is one line in its
+# counters! block, and this gate then fails until a design change blesses
+# the new rows.
 cargo test -q --release -p eleos --test pipelining
 cargo test -q --release -p eleos --test fault_paths
 cargo test -q --release --test gc_reads

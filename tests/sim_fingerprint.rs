@@ -1,6 +1,6 @@
-//! Simulation fingerprint: every counter of the controller's telemetry
-//! snapshot and the final simulated clock, for two small scripted runs,
-//! against the committed `tests/data/sim_fingerprint.txt`.
+//! Simulation fingerprint: every metric the controller's telemetry
+//! snapshot visits, the final simulated clock among them, for small
+//! scripted runs, against the committed `tests/data/sim_fingerprint.txt`.
 //!
 //! The simulation is a pure function of its inputs, so a change to how the
 //! controller runs on the host (hashing, buffer reuse, encoding in place)
@@ -28,7 +28,7 @@ use eleos_repro::eleos::{
     Controller, Eleos, EleosConfig, EleosError, Frontend, GroupCommitPolicy, MapCachePolicy,
     PageMode, ShardedEleos, Sid, TelemetrySnapshot, WriteBatch, WriteOpts,
 };
-use eleos_repro::flash::{Activity, CostProfile, FlashDevice, FlashOp, Geometry, SpanKind};
+use eleos_repro::flash::{CostProfile, FlashDevice, Geometry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -101,79 +101,9 @@ impl Store {
     }
 }
 
-/// One `script key value` line per snapshot counter.
+/// One `script key value` line per snapshot metric.
 fn fingerprint(out: &mut String, script: &str, s: &TelemetrySnapshot) {
-    let mut put = |key: &str, v: u64| writeln!(out, "{script} {key} {v}").unwrap();
-    put("now_ns", s.now);
-    put("cpu_busy_ns", s.cpu_busy_ns);
-    let e = &s.eleos;
-    for (key, v) in [
-        ("eleos.batches", e.batches),
-        ("eleos.lpages", e.lpages),
-        ("eleos.payload_bytes", e.payload_bytes),
-        ("eleos.stored_bytes", e.stored_bytes),
-        ("eleos.reads", e.reads),
-        ("eleos.read_bytes", e.read_bytes),
-        ("eleos.commits", e.commits),
-        ("eleos.aborts", e.aborts),
-        ("eleos.gc_collections", e.gc_collections),
-        ("eleos.gc_moved_pages", e.gc_moved_pages),
-        ("eleos.gc_moved_bytes", e.gc_moved_bytes),
-        ("eleos.gc_erases", e.gc_erases),
-        ("eleos.migrations", e.migrations),
-        ("eleos.checkpoints", e.checkpoints),
-        ("eleos.gc_installs_aborted", e.gc_installs_aborted),
-        ("eleos.program_failures", e.program_failures),
-        ("eleos.action_retries", e.action_retries),
-        ("eleos.gc_relocation_aborts", e.gc_relocation_aborts),
-        ("eleos.wal_fallbacks", e.wal_fallbacks),
-        ("eleos.retired_eblocks", e.retired_eblocks),
-    ] {
-        put(key, v);
-    }
-    let f = &s.flash;
-    for (key, v) in [
-        ("flash.programs", f.programs),
-        ("flash.program_failures", f.program_failures),
-        ("flash.bytes_programmed", f.bytes_programmed),
-        ("flash.rblock_reads", f.rblock_reads),
-        ("flash.bytes_read", f.bytes_read),
-        ("flash.erases", f.erases),
-    ] {
-        put(key, v);
-    }
-    for (ch, &ns) in f.channel_busy_ns.iter().enumerate() {
-        put(&format!("flash.channel_busy_ns.{ch}"), ns);
-    }
-    put("mapping.cached_pages", s.mapping_cached_pages as u64);
-    let m = &s.map_cache;
-    for (key, v) in [
-        ("mapping.hits", m.hits),
-        ("mapping.misses", m.misses),
-        ("mapping.flash_loads", m.flash_loads),
-        ("mapping.evictions", m.evictions),
-    ] {
-        put(key, v);
-    }
-    for a in Activity::ALL {
-        put(&format!("ledger.cpu.{}", a.label()), s.ledger.cpu_ns(a));
-        for op in FlashOp::ALL {
-            let ns = s.ledger.op_activity_ns(op, a);
-            put(&format!("ledger.flash.{}.{}", a.label(), op.label()), ns);
-        }
-    }
-    for k in SpanKind::ALL {
-        let h = s.span(k);
-        for (stat, v) in [
-            ("count", h.count()),
-            ("sum", h.sum()),
-            ("p50", h.p50()),
-            ("p99", h.p99()),
-            ("max", h.max()),
-        ] {
-            put(&format!("span.{}.{stat}", k.label()), v);
-        }
-    }
+    s.visit(|key, v| writeln!(out, "{script} {key} {v}").unwrap());
 }
 
 /// 4 channels × 32 EBLOCKs × 32 WBLOCKs × 32 KB = 128 MB, filled to ~60 %
