@@ -4,7 +4,7 @@
 //! Default mode runs 10 seeds, each interleaving writes, deletes, batched
 //! reads, checkpoints and GC with crash/recover cycles under probabilistic
 //! program failures plus a persistent bad-WBLOCK region, auditing every
-//! acknowledged page against an in-memory shadow after each recovery.
+//! acknowledged page against a per-client model after each recovery.
 //! Any divergence prints the seed and the exact repro command, and the
 //! process exits 1.
 //!

@@ -212,6 +212,10 @@ fn main() {
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--serial" => serial = true,
+            flag if flag.starts_with("--") => {
+                eprintln!("repro_all: unknown flag {flag:?}\nusage: repro_all [--serial] [out.md]");
+                std::process::exit(2);
+            }
             other => out_path = other.to_string(),
         }
     }

@@ -2,39 +2,36 @@
 //!
 //! A long-running randomized torture driver that interleaves batched
 //! writes, deletes, batched-read audits, checkpoints, GC pressure,
-//! mid-run crashes, and recovery against a shadow in-memory model — under
-//! probabilistic program failures *and* a persistent bad-WBLOCK region.
+//! mid-run crashes, and recovery — under probabilistic program failures
+//! *and* a persistent bad-WBLOCK region — and checks each client against
+//! its own [`Model`] of the write contract:
 //!
-//! The oracle encodes the controller's synchronous-API contract exactly:
+//! * an acknowledged write is durable with its new content, surviving any
+//!   later crash; an acknowledged delete reads `NotFound` until rewritten;
+//! * a call that failed took no effect;
+//! * a call that died with no verdict (a `ShutDown`, or a batch still
+//!   queued in the front-end) is staged, and after the crash
+//!   [`Model::resolve`] absorbs the longest prefix of the staged calls
+//!   that recovery made durable — anything torn is a divergence.
 //!
-//! * `write` returns `Ok` → every page of the batch is durable with its
-//!   new content, surviving any later crash;
-//! * `write` returns `Err` → the batch took no effect (old values intact);
-//! * `delete_batch` returns `Ok` → the LPIDs read as `NotFound` forever
-//!   (until rewritten), surviving crashes;
-//! * reads always return exactly the last acknowledged content.
-//!
-//! The soak is generic over [`Controller`]: `--shards 1` (the default)
-//! instantiates it with the unsharded [`Eleos`]; `--shards N` with the
-//! sharded router (DESIGN.md §14), where every batch that straddles
-//! shards commits through the two-phase group commit
-//! and the oracle additionally covers the 2PC decision window — a group
-//! whose call returned `ShutDown` mid-commit is *undecided* at the host,
-//! so after recovery the oracle accepts exactly all-new (coordinator
-//! decision was durable, recovery redid it on every shard) or all-old
-//! (rolled back everywhere); anything torn is a divergence.
+//! One client drives the controller directly with batches over the whole
+//! key space; several share it through the group-commit [`Frontend`],
+//! each in its own slice of the key space, and a batch counts as
+//! acknowledged on its group's ACK. The soak is generic over
+//! [`Controller`]: `--shards N` runs it on the sharded router (DESIGN.md
+//! §14), where batches that straddle shards commit through 2PC.
 //!
 //! Every run is fully determined by its [`ChaosConfig`] (the seed drives
 //! both the workload RNG and the fault injector), so a divergence dumps a
 //! one-line repro command that replays the exact fault script.
 
+use crate::model::{Divergence, Model, Op};
 use crate::report::Table;
 use eleos::frontend::{Frontend, GroupCommitPolicy};
 use eleos::{Controller, Eleos, EleosConfig, EleosError, ShardedEleos, WriteBatch};
 use eleos_flash::{CostProfile, FaultInjector, FlashDevice, Geometry, WblockAddr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Everything that determines a chaos run. Two runs with equal configs
@@ -59,10 +56,10 @@ pub struct ChaosConfig {
     pub bad_eblock: Option<(u32, u32)>,
     /// LPID key space.
     pub max_lpid: u64,
-    /// Concurrent client streams. `1` drives the controller directly
-    /// (the classic single-writer soak); `> 1` drives it through the
-    /// group-commit [`Frontend`] with one shadow map per client,
-    /// each client confined to its private `max_lpid / clients` slice.
+    /// Concurrent client streams, each checked by its own [`Model`]. `1`
+    /// drives the controller directly with batches over the whole key
+    /// space; `> 1` drives it through the group-commit [`Frontend`], each
+    /// client confined to its private `max_lpid / clients` slice.
     pub clients: usize,
     /// Controller shards. `1` is the unsharded path; `> 1` hash-routes
     /// LPIDs across shards so batches straddle them and commit via 2PC.
@@ -88,7 +85,8 @@ impl Default for ChaosConfig {
 #[derive(Debug, Clone, Default)]
 pub struct ChaosReport {
     pub seed: u64,
-    /// Batches acknowledged (entered the shadow).
+    /// Write batches that entered a client's model: acknowledged, or
+    /// absorbed by [`Model::resolve`] after a crash.
     pub batches: u64,
     /// User-visible `ActionAborted`s that were retried successfully.
     pub aborts_retried: u64,
@@ -208,7 +206,7 @@ fn make_devices(cfg: &ChaosConfig) -> Vec<FlashDevice> {
 }
 
 /// Deterministic page content: recomputable from `(lpid, version)` so the
-/// shadow only has to remember what it stored.
+/// model only has to remember what it stored.
 fn page_content(lpid: u64, version: u64, len: usize) -> Vec<u8> {
     (0..len)
         .map(|i| (lpid as u8) ^ (version as u8).rotate_left((i % 7) as u32) ^ (i as u8))
@@ -229,54 +227,6 @@ fn recent_events<C: Controller>(sh: &C, n: usize) -> Vec<String> {
     out
 }
 
-/// A write or delete whose call returned `ShutDown` mid-commit: the 2PC
-/// decision may or may not have reached the coordinator log, so after
-/// recovery it is either fully durable or fully rolled back.
-enum Undecided {
-    Write(Vec<(u64, Vec<u8>)>),
-    Delete(Vec<u64>),
-}
-
-/// Resolve an undecided operation after recovery: if *every* page reads
-/// back in the new state, the coordinator committed it — apply it to the
-/// oracle. If not, leave the oracle on the old state; the full
-/// differential audit right after catches any torn middle ground.
-fn resolve_undecided<C: Controller>(
-    sh: &mut C,
-    undecided: Option<Undecided>,
-    shadow: &mut BTreeMap<u64, Vec<u8>>,
-    deleted: &mut BTreeSet<u64>,
-    report: &mut ChaosReport,
-) {
-    match undecided {
-        None => {}
-        Some(Undecided::Write(pages)) => {
-            let committed = pages
-                .iter()
-                .all(|(l, d)| matches!(sh.read(*l), Ok(got) if got.as_ref() == d.as_slice()));
-            if committed {
-                report.batches += 1;
-                for (l, d) in pages {
-                    deleted.remove(&l);
-                    shadow.insert(l, d);
-                }
-            }
-        }
-        Some(Undecided::Delete(lpids)) => {
-            let committed = lpids
-                .iter()
-                .all(|l| matches!(sh.read(*l), Err(EleosError::NotFound(_))));
-            if committed {
-                report.deletes += 1;
-                for l in lpids {
-                    shadow.remove(&l);
-                    deleted.insert(l);
-                }
-            }
-        }
-    }
-}
-
 /// Run one chaos soak to completion. `Ok` means zero divergences.
 ///
 /// Dispatch: `shards == 1` instantiates the generic soak with the
@@ -291,189 +241,63 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, Box<ChaosFailure>> {
     }
 }
 
-fn run_chaos_on<C: Controller>(cfg: &ChaosConfig) -> Result<ChaosReport, Box<ChaosFailure>> {
-    if cfg.clients > 1 {
-        return run_chaos_multi::<C>(cfg);
+/// One LPID as a [`Model`] reads it: its content, `None` when it is not
+/// found, or the error.
+fn read_lpid<C: Controller>(sh: &mut C, lpid: u64) -> Result<Option<impl AsRef<[u8]>>, String> {
+    match sh.read(lpid) {
+        Ok(data) => Ok(Some(data)),
+        Err(EleosError::NotFound(_)) => Ok(None),
+        Err(e) => Err(e.to_string()),
     }
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut shadow: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-    let mut deleted: BTreeSet<u64> = BTreeSet::new();
-    let mut version = 0u64;
-    let mut report = ChaosReport {
-        seed: cfg.seed,
-        ..Default::default()
-    };
-
-    let ecfg = controller_cfg(cfg.max_lpid);
-    let mut sh = C::format(make_devices(cfg), &ecfg).map_err(|e| {
-        Box::new(ChaosFailure {
-            seed: cfg.seed,
-            cycle: 0,
-            step: 0,
-            what: format!("format failed: {e}"),
-            config: cfg.clone(),
-            events: Vec::new(),
-        })
-    })?;
-
-    let fail = |cycle: usize, step: usize, what: String| {
-        Box::new(ChaosFailure {
-            seed: cfg.seed,
-            cycle,
-            step,
-            what,
-            config: cfg.clone(),
-            events: Vec::new(),
-        })
-    };
-    // Attach the event-ring tails once the failure is a value (the mutable
-    // controller borrow that produced it has ended by then).
-    let with_events = |mut f: Box<ChaosFailure>, sh: &C| {
-        f.events = recent_events(sh, 16);
-        f
-    };
-
-    for cycle in 0..cfg.cycles {
-        let steps = rng.gen_range(cfg.steps_per_cycle / 2..=cfg.steps_per_cycle.max(2));
-        let mut want_crash = false;
-        let mut undecided: Option<Undecided> = None;
-        for step in 0..steps {
-            // Accumulate volatile controller counters before any crash.
-            let roll: u32 = rng.gen_range(0..100);
-            let outcome: Result<(), Box<ChaosFailure>> = if roll < 55 {
-                chaos_write(
-                    cfg, &mut rng, &mut sh, &mut shadow, &mut deleted, &mut version,
-                    &mut undecided, &mut report,
-                )
-                .map_err(|w| fail(cycle, step, w))
-            } else if roll < 70 {
-                chaos_audit(&mut rng, &mut sh, &shadow, &deleted, &mut report)
-                    .map_err(|w| fail(cycle, step, w))
-            } else if roll < 80 {
-                chaos_delete(&mut rng, &mut sh, &mut shadow, &mut deleted, &mut undecided, &mut report)
-                    .map_err(|w| fail(cycle, step, w))
-            } else if roll < 90 {
-                match sh.checkpoint() {
-                    Ok(()) | Err(EleosError::ActionAborted) | Err(EleosError::DeviceFull) => Ok(()),
-                    Err(EleosError::ShutDown) => {
-                        want_crash = true;
-                        Ok(())
-                    }
-                    Err(e) => Err(fail(cycle, step, format!("checkpoint failed: {e}"))),
-                }
-            } else {
-                match sh.maintenance() {
-                    Ok(()) | Err(EleosError::ActionAborted) | Err(EleosError::DeviceFull) => Ok(()),
-                    Err(EleosError::ShutDown) => {
-                        want_crash = true;
-                        Ok(())
-                    }
-                    Err(e) => Err(fail(cycle, step, format!("maintenance failed: {e}"))),
-                }
-            };
-            outcome.map_err(|f| with_events(f, &sh))?;
-            if want_crash || undecided.is_some() {
-                break;
-            }
-        }
-        if want_crash || undecided.is_some() {
-            report.shutdowns += 1;
-        }
-
-        // CRASH: only the flash arrays (with their fault injectors) survive.
-        accumulate(&mut report, &sh);
-        report.crashes += 1;
-        let mut devs = sh.crash();
-        // A real deployment would retry recovery until it sticks; for a
-        // deterministic soak, quiesce the *probabilistic* faults during
-        // recovery. The persistent bad region stays active — recovery must
-        // handle it (and does, via migrate + retirement).
-        for d in &mut devs {
-            d.faults_mut().set_probability(0.0);
-        }
-        sh = match C::recover(devs, &ecfg) {
-            Ok(s) => s,
-            Err(e) => {
-                return Err(fail(cycle, 0, format!("recovery failed: {e}")));
-            }
-        };
-        for s in 0..cfg.shards {
-            sh.unit_mut(s).device_mut().faults_mut().set_probability(cfg.fail_p);
-        }
-
-        // A ShutDown mid-2PC left one group undecided at the host; recovery
-        // has now decided it. Sync the oracle before the audit.
-        resolve_undecided(&mut sh, undecided, &mut shadow, &mut deleted, &mut report);
-
-        // Full differential audit against the oracle.
-        for (lpid, expect) in &shadow {
-            match sh.read(*lpid) {
-                Ok(got) if got.as_ref() == expect.as_slice() => {}
-                Ok(got) => {
-                    let what = format!(
-                        "post-recovery corruption: lpid {lpid} (shard {}) expected {} bytes, \
-                         got {} (content differs)",
-                        sh.unit_of(*lpid),
-                        expect.len(),
-                        got.len()
-                    );
-                    return Err(with_events(fail(cycle, 0, what), &sh));
-                }
-                Err(e) => {
-                    let what = format!(
-                        "post-recovery loss: lpid {lpid} (shard {}) unreadable: {e}",
-                        sh.unit_of(*lpid)
-                    );
-                    return Err(with_events(fail(cycle, 0, what), &sh));
-                }
-            }
-            report.audited_pages += 1;
-        }
-        for lpid in &deleted {
-            match sh.read(*lpid) {
-                Err(EleosError::NotFound(_)) => {}
-                Ok(_) => {
-                    let what = format!(
-                        "post-recovery resurrection: deleted lpid {lpid} (shard {}) readable",
-                        sh.unit_of(*lpid)
-                    );
-                    return Err(with_events(fail(cycle, 0, what), &sh));
-                }
-                Err(e) => {
-                    let what = format!(
-                        "post-recovery: deleted lpid {lpid} (shard {}) errored oddly: {e}",
-                        sh.unit_of(*lpid)
-                    );
-                    return Err(with_events(fail(cycle, 0, what), &sh));
-                }
-            }
-        }
-
-        // Capacity-accounting invariant: retired bytes in the space report
-        // must exactly match the retired descriptors, and the partition
-        // must cover the device — on every shard.
-        if let Some(what) = capacity_invariant(&sh) {
-            return Err(with_events(fail(cycle, 0, what), &sh));
-        }
-    }
-
-    accumulate(&mut report, &sh);
-    report.retired_eblocks = retired_count(&sh);
-    report.live_pages = shadow.len() as u64;
-    Ok(report)
 }
 
-/// What to do after absorbing a front-end call's outcome.
+/// A failure with no event tails attached.
+fn failure(cfg: &ChaosConfig, cycle: usize, step: usize, what: String) -> Box<ChaosFailure> {
+    Box::new(ChaosFailure {
+        seed: cfg.seed,
+        cycle,
+        step,
+        what,
+        config: cfg.clone(),
+        events: Vec::new(),
+    })
+}
+
+/// The group-commit front-end that several clients share; `None` for one
+/// client, which drives the controller directly.
+fn frontend(clients: usize) -> Option<Frontend> {
+    let policy = GroupCommitPolicy {
+        flush_bytes: 3 * 1024,
+        flush_interval_ns: 50_000,
+        max_queued_batches: 8,
+        ..GroupCommitPolicy::default()
+    };
+    (clients > 1).then(|| Frontend::new(clients, policy))
+}
+
+/// What the soak does after a step.
 enum Disposition {
     Continue,
     Crash,
 }
 
-/// Map a front-end submit/flush result onto the soak's contract: transient
-/// conditions are absorbed (the queue stays intact inside the front-end),
-/// a controller shutdown forces the next crash, anything else is a
-/// divergence.
-fn absorb_frontend_result<T>(
+/// Map a checkpoint or maintenance result onto the soak's contract:
+/// transient conditions are absorbed, a controller shutdown forces the
+/// next crash, anything else is a divergence.
+fn housekeeping(res: Result<(), EleosError>, what: &str) -> Result<Disposition, String> {
+    match res {
+        Ok(()) | Err(EleosError::ActionAborted) | Err(EleosError::DeviceFull) => {
+            Ok(Disposition::Continue)
+        }
+        Err(EleosError::ShutDown) => Ok(Disposition::Crash),
+        Err(e) => Err(format!("{what} failed: {e}")),
+    }
+}
+
+/// Map a front-end submit or flush result onto the soak's contract, like
+/// [`housekeeping`] but counting the transient conditions (the queue stays
+/// intact inside the front-end).
+fn frontend_result<T>(
     res: Result<T, EleosError>,
     report: &mut ChaosReport,
 ) -> Result<Disposition, String> {
@@ -492,390 +316,349 @@ fn absorb_frontend_result<T>(
     }
 }
 
-/// Drain the front-end's ack stream into the per-client shadows. ACKs are
-/// reconciled from the `acked_batches` counters rather than the returned
-/// `GroupAck` lists, so an error return that swallowed a successful
-/// deadline flush cannot desynchronize the oracle: anything the front-end
-/// counted as acked is durable, in per-client seq order, by contract.
-/// One unACKed client batch the oracle is waiting on: `(seq, pages)`.
-type StagedBatch = (u64, Vec<(u64, Vec<u8>)>);
-
-fn reconcile_acks(
-    fe: &Frontend,
-    staged: &mut [std::collections::VecDeque<StagedBatch>],
-    applied: &mut [u64],
-    shadows: &mut [BTreeMap<u64, Vec<u8>>],
-    deleteds: &mut [BTreeSet<u64>],
-    report: &mut ChaosReport,
-) -> Result<(), String> {
-    for c in 0..fe.clients() {
-        while applied[c] < fe.acked_batches(c) {
-            let (seq, pages) = staged[c].pop_front().ok_or_else(|| {
-                format!(
-                    "client {c}: front-end acked batch {} the oracle never staged",
-                    applied[c]
-                )
-            })?;
-            if seq != applied[c] {
-                return Err(format!(
-                    "client {c}: ack-order skew: staged seq {seq}, expected {} \
-                     (group {} next)",
-                    applied[c],
-                    fe.next_group_id()
-                ));
-            }
-            for (l, d) in pages {
-                deleteds[c].remove(&l);
-                shadows[c].insert(l, d);
-            }
-            applied[c] += 1;
-            report.batches += 1;
-        }
-    }
-    Ok(())
+/// One soak in progress: the controller, the front-end when clients share
+/// it, and one [`Model`] per client.
+struct Soak<'a, C: Controller> {
+    cfg: &'a ChaosConfig,
+    ecfg: EleosConfig,
+    rng: StdRng,
+    sh: C,
+    fe: Option<Frontend>,
+    models: Vec<Model>,
+    /// Front-end ACKs already applied to each client's model.
+    acked: Vec<u64>,
+    versions: Vec<u64>,
+    /// Simulated arrival time of the last front-end submission.
+    at: u64,
+    report: ChaosReport,
 }
 
-/// After recovery, absorb the longest staged prefix of one client that is
-/// durably visible. A mid-flush `ShutDown` can leave the in-flight group
-/// coordinator-committed — recovery then *redoes* it on every shard even
-/// though no client saw an ACK — so "discard everything unACKed" would
-/// diverge from the durable state. Only LPIDs the staged batches touch are
-/// probed; the full differential audit afterwards re-verifies everything.
-fn absorb_staged_after_recovery<C: Controller>(
-    sh: &mut C,
-    staged: &mut std::collections::VecDeque<StagedBatch>,
-    shadow: &mut BTreeMap<u64, Vec<u8>>,
-    deleted: &mut BTreeSet<u64>,
-    report: &mut ChaosReport,
-) {
-    let touched: BTreeSet<u64> = staged
-        .iter()
-        .flat_map(|(_, pages)| pages.iter().map(|(l, _)| *l))
-        .collect();
-    if touched.is_empty() {
-        return;
-    }
-    for p in (0..=staged.len()).rev() {
-        // Expected content of each touched LPID under "first p staged
-        // batches applied": `None` means NotFound.
-        let mut exp: BTreeMap<u64, Option<&[u8]>> = touched
-            .iter()
-            .map(|l| (*l, shadow.get(l).map(|v| v.as_slice())))
-            .collect();
-        for (_, pages) in staged.iter().take(p) {
-            for (l, d) in pages {
-                exp.insert(*l, Some(d.as_slice()));
-            }
-        }
-        let matches = exp.iter().all(|(l, want)| match (sh.read(*l), want) {
-            (Ok(got), Some(want)) => got.as_ref() == *want,
-            (Err(EleosError::NotFound(_)), None) => true,
-            _ => false,
-        });
-        drop(exp);
-        if matches {
-            report.batches += p as u64;
-            for (_, pages) in staged.iter().take(p) {
-                for (l, d) in pages {
-                    deleted.remove(l);
-                    shadow.insert(*l, d.clone());
-                }
-            }
-            break;
-        }
-        // p == 0 not matching either: leave the oracle on the acked state;
-        // the audit below reports the divergence with full detail.
-    }
-    staged.clear();
-}
-
-/// Multi-client soak: N client streams drive the controller through the
-/// group-commit [`Frontend`], each confined to a private LPID
-/// slice with its own shadow map and tombstone set. The oracle's contract
-/// sharpens the single-client one:
-///
-/// * a client batch enters its shadow only when the front-end ACKs it
-///   (covering group durable on every shard it touched) — never at
-///   submission;
-/// * batches queued but unACKed at a crash are discarded — unless
-///   recovery proves the in-flight group's coordinator decision was
-///   already durable, in which case the redone prefix is absorbed;
-/// * divergence dumps name the client, the owning unit and the group id
-///   in flight.
-fn run_chaos_multi<C: Controller>(cfg: &ChaosConfig) -> Result<ChaosReport, Box<ChaosFailure>> {
-    use std::collections::VecDeque;
-    let clients = cfg.clients;
-    let slice = cfg.max_lpid / clients as u64;
-    assert!(slice > 0, "max_lpid must give every client a nonempty slice");
-    let policy = GroupCommitPolicy {
-        flush_bytes: 3 * 1024,
-        flush_interval_ns: 50_000,
-        max_queued_batches: 8,
-        ..GroupCommitPolicy::default()
-    };
-
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut shadows: Vec<BTreeMap<u64, Vec<u8>>> = vec![BTreeMap::new(); clients];
-    let mut deleteds: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); clients];
-    // Batches submitted but not yet ACKed, per client, in seq order.
-    let mut staged: Vec<VecDeque<StagedBatch>> = vec![VecDeque::new(); clients];
-    let mut applied: Vec<u64> = vec![0; clients];
-    let mut versions: Vec<u64> = vec![0; clients];
-    let mut at = 0u64;
-    let mut report = ChaosReport {
-        seed: cfg.seed,
-        ..Default::default()
-    };
-
+/// Run one soak: steps until a scheduled or forced crash, then one crash →
+/// recover → resolve → audit block per cycle.
+fn run_chaos_on<C: Controller>(cfg: &ChaosConfig) -> Result<ChaosReport, Box<ChaosFailure>> {
+    assert!(
+        cfg.max_lpid / cfg.clients as u64 > 0,
+        "max_lpid must give every client a nonempty slice"
+    );
     let ecfg = controller_cfg(cfg.max_lpid);
-    let mut sh = C::format(make_devices(cfg), &ecfg).map_err(|e| {
-        Box::new(ChaosFailure {
+    let sh = C::format(make_devices(cfg), &ecfg)
+        .map_err(|e| failure(cfg, 0, 0, format!("format failed: {e}")))?;
+    let mut s = Soak {
+        cfg,
+        ecfg,
+        rng: StdRng::seed_from_u64(cfg.seed),
+        sh,
+        fe: frontend(cfg.clients),
+        models: vec![Model::default(); cfg.clients],
+        acked: vec![0; cfg.clients],
+        versions: vec![0; cfg.clients],
+        at: 0,
+        report: ChaosReport {
             seed: cfg.seed,
-            cycle: 0,
-            step: 0,
-            what: format!("format failed: {e}"),
-            config: cfg.clone(),
-            events: Vec::new(),
-        })
-    })?;
-    let mut fe = Frontend::new(clients, policy.clone());
-
-    let fail = |cycle: usize, step: usize, what: String| {
-        Box::new(ChaosFailure {
-            seed: cfg.seed,
-            cycle,
-            step,
-            what,
-            config: cfg.clone(),
-            events: Vec::new(),
-        })
+            ..Default::default()
+        },
     };
-    let with_events = |mut f: Box<ChaosFailure>, sh: &C| {
-        f.events = recent_events(sh, 16);
-        f
-    };
-
     for cycle in 0..cfg.cycles {
-        let steps = rng.gen_range(cfg.steps_per_cycle / 2..=cfg.steps_per_cycle.max(2));
-        let mut want_crash = false;
-        // A direct delete that returned ShutDown mid-2PC (undecided at the
-        // host; recovery decides it). Staged *writes* are handled by
-        // absorb_staged_after_recovery.
-        let mut undecided: Option<(usize, Undecided)> = None;
+        let steps = s
+            .rng
+            .gen_range(cfg.steps_per_cycle / 2..=cfg.steps_per_cycle.max(2));
         for step in 0..steps {
-            let roll: u32 = rng.gen_range(0..100);
-            let outcome: Result<Disposition, String> = if roll < 55 {
-                // Submit one client batch through the front-end.
-                let client = rng.gen_range(0..clients);
-                let base = client as u64 * slice;
-                let mut b = WriteBatch::new(eleos::PageMode::Variable);
-                let mut pages: Vec<(u64, Vec<u8>)> = Vec::new();
-                for _ in 0..rng.gen_range(1..6usize) {
-                    versions[client] += 1;
-                    let lpid = base + rng.gen_range(0..slice);
-                    let data =
-                        page_content(lpid, versions[client], rng.gen_range(64..1536));
-                    if pages.iter().any(|(l, _)| *l == lpid) {
-                        continue;
-                    }
-                    b.put(lpid, &data)
-                        .map_err(|e| format!("put failed: {e}"))
-                        .map_err(|w| fail(cycle, step, w))
-                        .map_err(|f| with_events(f, &sh))?;
-                    pages.push((lpid, data));
-                }
-                at += rng.gen_range(2_000..30_000);
-                let pre = fe.submitted_batches(client);
-                let res = fe.submit(&mut sh, client, at, b);
-                if fe.submitted_batches(client) > pre {
-                    // The batch made it into the queue (even if a flush
-                    // attempt afterwards errored): stage it for its ACK.
-                    staged[client].push_back((pre, pages));
-                }
-                reconcile_acks(
-                    &fe, &mut staged, &mut applied, &mut shadows, &mut deleteds,
-                    &mut report,
-                )
-                .and_then(|()| absorb_frontend_result(res, &mut report))
-            } else if roll < 70 {
-                // Audit a random client's acked state. Queued batches are
-                // invisible here by design: unACKed writes have no
-                // durability claim.
-                let client = rng.gen_range(0..clients);
-                chaos_audit(&mut rng, &mut sh, &shadows[client], &deleteds[client], &mut report)
-                    .map(|()| Disposition::Continue)
-                    .map_err(|w| format!("client {client}: {w}"))
-            } else if roll < 80 {
-                // Deletes bypass the front-end, so drain it first: a queued
-                // write of an LPID must not land after its delete.
-                let res = fe.flush(&mut sh);
-                reconcile_acks(
-                    &fe, &mut staged, &mut applied, &mut shadows, &mut deleteds,
-                    &mut report,
-                )
-                .and_then(|()| absorb_frontend_result(res, &mut report))
-                .and_then(|d| match d {
-                    Disposition::Continue if fe.pending_batches() == 0 => {
-                        let client = rng.gen_range(0..clients);
-                        let mut und: Option<Undecided> = None;
-                        let r = chaos_delete(
-                            &mut rng,
-                            &mut sh,
-                            &mut shadows[client],
-                            &mut deleteds[client],
-                            &mut und,
-                            &mut report,
-                        )
-                        .map(|()| Disposition::Continue)
-                        .map_err(|w| format!("client {client}: {w}"));
-                        if let Some(u) = und {
-                            // Undecided mid-2PC delete: force the crash so
-                            // recovery decides it.
-                            undecided = Some((client, u));
-                            r.map(|_| Disposition::Crash)
-                        } else {
-                            r
-                        }
-                    }
-                    // Drain didn't complete (transient error): skip the
-                    // delete this step rather than reorder around the queue.
-                    d => Ok(d),
-                })
-            } else if roll < 90 {
-                match sh.checkpoint() {
-                    Ok(()) | Err(EleosError::ActionAborted) | Err(EleosError::DeviceFull) => {
-                        Ok(Disposition::Continue)
-                    }
-                    Err(EleosError::ShutDown) => Ok(Disposition::Crash),
-                    Err(e) => Err(format!("checkpoint failed: {e}")),
-                }
-            } else {
-                match sh.maintenance() {
-                    Ok(()) | Err(EleosError::ActionAborted) | Err(EleosError::DeviceFull) => {
-                        Ok(Disposition::Continue)
-                    }
-                    Err(EleosError::ShutDown) => Ok(Disposition::Crash),
-                    Err(e) => Err(format!("maintenance failed: {e}")),
-                }
-            };
-            match outcome {
+            match s.step() {
                 Ok(Disposition::Continue) => {}
                 Ok(Disposition::Crash) => {
-                    want_crash = true;
+                    s.report.shutdowns += 1;
                     break;
                 }
-                Err(w) => return Err(with_events(fail(cycle, step, w), &sh)),
+                Err(what) => return Err(s.fail(cycle, step, what)),
             }
         }
-        if want_crash {
-            report.shutdowns += 1;
-        }
+        s = s
+            .crash_and_recover()
+            .map_err(|what| failure(cfg, cycle, 0, what))?;
+        s.settle().map_err(|what| s.fail(cycle, 0, what))?;
+    }
+    accumulate(&mut s.report, &s.sh);
+    if let Some(fe) = &s.fe {
+        s.report.groups += fe.groups_flushed();
+    }
+    s.report.retired_eblocks = retired_count(&s.sh);
+    s.report.batches = s.models.iter().map(Model::writes).sum();
+    s.report.deletes = s.models.iter().map(Model::deletes).sum();
+    s.report.live_pages = s.models.iter().map(|m| m.pages().len() as u64).sum();
+    Ok(s.report)
+}
 
-        // CRASH: queued-but-unACKed client batches die with the host side
-        // unless recovery proves their covering group committed.
-        let inflight_group = fe.next_group_id();
-        report.groups += fe.groups_flushed();
-        accumulate(&mut report, &sh);
-        report.crashes += 1;
-        let mut devs = sh.crash();
+impl<C: Controller> Soak<'_, C> {
+    /// A failure with the event-ring tails of every shard attached.
+    fn fail(&self, cycle: usize, step: usize, what: String) -> Box<ChaosFailure> {
+        let mut f = failure(self.cfg, cycle, step, what);
+        f.events = recent_events(&self.sh, 16);
+        f
+    }
+
+    fn step(&mut self) -> Result<Disposition, String> {
+        let roll: u32 = self.rng.gen_range(0..100);
+        if roll < 55 {
+            self.write()
+        } else if roll < 70 {
+            self.audit_live()
+        } else if roll < 80 {
+            self.delete()
+        } else if roll < 90 {
+            housekeeping(self.sh.checkpoint(), "checkpoint")
+        } else {
+            housekeeping(self.sh.maintenance(), "maintenance")
+        }
+    }
+
+    /// The client of the next operation (no draw with one client).
+    fn client(&mut self) -> usize {
+        match self.models.len() {
+            1 => 0,
+            n => self.rng.gen_range(0..n),
+        }
+    }
+
+    /// One client batch: straight into the controller with one client (up
+    /// to 7 pages over the whole key space), else through the front-end
+    /// (up to 5 pages in the client's own slice).
+    fn write(&mut self) -> Result<Disposition, String> {
+        let c = self.client();
+        let slice = self.cfg.max_lpid / self.models.len() as u64;
+        let max_pages = if self.fe.is_some() { 5 } else { 7 };
+        let mut b = WriteBatch::new(eleos::PageMode::Variable);
+        let mut pages: Vec<(u64, Vec<u8>)> = Vec::new();
+        for _ in 0..self.rng.gen_range(1..max_pages + 1usize) {
+            self.versions[c] += 1;
+            let lpid = c as u64 * slice + self.rng.gen_range(0..slice);
+            let data = page_content(lpid, self.versions[c], self.rng.gen_range(64..1536));
+            if pages.iter().any(|(l, _)| *l == lpid) {
+                continue; // one version per LPID per batch
+            }
+            b.put(lpid, &data).map_err(|e| format!("put failed: {e}"))?;
+            pages.push((lpid, data));
+        }
+        let Some(fe) = self.fe.as_mut() else {
+            return self.write_direct(&b, pages);
+        };
+        self.at += self.rng.gen_range(2_000..30_000);
+        let before = fe.submitted_batches(c);
+        let res = fe.submit(&mut self.sh, c, self.at, b);
+        if fe.submitted_batches(c) > before {
+            // Queued (even if a flush afterwards errored): await its ACK.
+            self.models[c].stage(Op::Write(pages));
+        }
+        self.absorb_acks()?;
+        frontend_result(res, &mut self.report)
+    }
+
+    /// Section VII contract: `ActionAborted` means "retry the buffer".
+    fn write_direct(
+        &mut self,
+        b: &WriteBatch,
+        pages: Vec<(u64, Vec<u8>)>,
+    ) -> Result<Disposition, String> {
+        for _attempt in 0..8 {
+            match self.sh.write(b) {
+                Ok(_) => {
+                    self.models[0].apply(Op::Write(pages));
+                    return Ok(Disposition::Continue);
+                }
+                Err(EleosError::ActionAborted) => self.report.aborts_retried += 1,
+                Err(EleosError::DeviceFull) => {
+                    // Genuinely full (retirement shrinks capacity): the
+                    // batch is dropped. Nudge GC to reclaim; a shutdown
+                    // here surfaces at the next call.
+                    self.report.device_full += 1;
+                    return match self.sh.maintenance() {
+                        Ok(())
+                        | Err(EleosError::ActionAborted)
+                        | Err(EleosError::DeviceFull)
+                        | Err(EleosError::ShutDown) => Ok(Disposition::Continue),
+                        Err(e) => Err(format!("maintenance after DeviceFull failed: {e}")),
+                    };
+                }
+                Err(EleosError::ShutDown) => {
+                    // No verdict (mid-2PC, the decision may be durable):
+                    // recovery decides it.
+                    self.models[0].stage(Op::Write(pages));
+                    return Ok(Disposition::Crash);
+                }
+                Err(e) => return Err(format!("write failed non-retryably: {e}")),
+            }
+        }
+        // Bounded retries exhausted without an ack: dropped, within contract.
+        Ok(Disposition::Continue)
+    }
+
+    /// Apply every ACK the front-end has counted to its client's model.
+    /// ACKs come from the `acked_batches` counters rather than the returned
+    /// `GroupAck` lists, so an error return that swallowed a successful
+    /// deadline flush cannot desynchronize the oracle.
+    fn absorb_acks(&mut self) -> Result<(), String> {
+        let Some(fe) = &self.fe else { return Ok(()) };
+        for (c, model) in self.models.iter_mut().enumerate() {
+            while self.acked[c] < fe.acked_batches(c) {
+                if !model.ack() {
+                    return Err(format!(
+                        "client {c}: front-end acked batch {} the model never staged",
+                        self.acked[c]
+                    ));
+                }
+                self.acked[c] += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Read back a sample of one client's acknowledged pages with one
+    /// batched read, and its lowest deleted LPID. Unacknowledged writes
+    /// have no durability claim, so queued batches are invisible here.
+    fn audit_live(&mut self) -> Result<Disposition, String> {
+        let c = self.client();
+        let model = &self.models[c];
+        if !model.pages().is_empty() {
+            let keys: Vec<u64> = model.pages().keys().copied().collect();
+            let n = self.rng.gen_range(1..=12usize.min(keys.len()));
+            let lpids: Vec<u64> = (0..n)
+                .map(|_| keys[self.rng.gen_range(0..keys.len())])
+                .collect();
+            let pages = self
+                .sh
+                .read_batch(&lpids)
+                .map_err(|e| format!("client {c}: read_batch of live lpids failed: {e}"))?;
+            for (lpid, got) in lpids.iter().zip(&pages) {
+                let want = &model.pages()[lpid];
+                if got.as_ref() != want.as_slice() {
+                    return Err(format!(
+                        "client {c}: live read divergence: lpid {lpid} (shard {}) expected {} \
+                         bytes, got {}",
+                        self.sh.unit_of(*lpid),
+                        want.len(),
+                        got.len()
+                    ));
+                }
+                self.report.audited_pages += 1;
+            }
+        }
+        if let Some(&lpid) = model.deleted().iter().next() {
+            match self.sh.read(lpid) {
+                Err(EleosError::NotFound(_)) => {}
+                Ok(_) => return Err(format!("client {c}: deleted lpid {lpid} still readable")),
+                Err(e) => {
+                    return Err(format!(
+                        "client {c}: deleted lpid {lpid} errored oddly: {e}"
+                    ))
+                }
+            }
+        }
+        Ok(Disposition::Continue)
+    }
+
+    /// Delete up to four of one client's live LPIDs. Deletes bypass the
+    /// front-end, so it is drained first: a queued write of an LPID must
+    /// not land after its delete.
+    fn delete(&mut self) -> Result<Disposition, String> {
+        if let Some(fe) = self.fe.as_mut() {
+            let res = fe.flush(&mut self.sh);
+            let drained = fe.pending_batches() == 0;
+            self.absorb_acks()?;
+            match frontend_result(res, &mut self.report)? {
+                Disposition::Continue if drained => {}
+                // The drain did not complete: skip the delete this step
+                // rather than reorder around the queue.
+                d => return Ok(d),
+            }
+        }
+        let c = self.client();
+        let model = &mut self.models[c];
+        if model.pages().is_empty() {
+            return Ok(Disposition::Continue);
+        }
+        let keys: Vec<u64> = model.pages().keys().copied().collect();
+        let n = self.rng.gen_range(1..=4usize.min(keys.len()));
+        let mut pick: Vec<u64> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let k = keys[self.rng.gen_range(0..keys.len())];
+            if !pick.contains(&k) {
+                pick.push(k);
+            }
+        }
+        for _attempt in 0..8 {
+            match self.sh.delete(&pick) {
+                Ok(()) => {
+                    model.apply(Op::Delete(pick));
+                    return Ok(Disposition::Continue);
+                }
+                Err(EleosError::ActionAborted) => self.report.aborts_retried += 1,
+                Err(EleosError::ShutDown) => {
+                    model.stage(Op::Delete(pick));
+                    return Ok(Disposition::Crash);
+                }
+                Err(EleosError::DeviceFull) => return Ok(Disposition::Continue),
+                Err(e) => return Err(format!("client {c}: delete failed non-retryably: {e}")),
+            }
+        }
+        Ok(Disposition::Continue)
+    }
+
+    /// CRASH: only the flash arrays (with their fault injectors) survive.
+    fn crash_and_recover(mut self) -> Result<Self, String> {
+        if let Some(fe) = &self.fe {
+            self.report.groups += fe.groups_flushed();
+        }
+        accumulate(&mut self.report, &self.sh);
+        self.report.crashes += 1;
+        let mut devs = self.sh.crash();
+        // A real deployment would retry recovery until it sticks; for a
+        // deterministic soak, quiesce the *probabilistic* faults during
+        // recovery. The persistent bad region stays active — recovery must
+        // handle it (and does, via migrate + retirement).
         for d in &mut devs {
             d.faults_mut().set_probability(0.0);
         }
-        sh = match C::recover(devs, &ecfg) {
-            Ok(s) => s,
-            Err(e) => {
-                return Err(fail(cycle, 0, format!("recovery failed: {e}")));
-            }
-        };
-        for s in 0..cfg.shards {
-            sh.unit_mut(s).device_mut().faults_mut().set_probability(cfg.fail_p);
+        self.sh = C::recover(devs, &self.ecfg).map_err(|e| format!("recovery failed: {e}"))?;
+        for s in 0..self.cfg.shards {
+            self.sh
+                .unit_mut(s)
+                .device_mut()
+                .faults_mut()
+                .set_probability(self.cfg.fail_p);
         }
-        fe = Frontend::new(clients, policy.clone());
-
-        if let Some((client, u)) = undecided.take() {
-            resolve_undecided(
-                &mut sh,
-                Some(u),
-                &mut shadows[client],
-                &mut deleteds[client],
-                &mut report,
-            );
-        }
-        for c in 0..clients {
-            absorb_staged_after_recovery(
-                &mut sh,
-                &mut staged[c],
-                &mut shadows[c],
-                &mut deleteds[c],
-                &mut report,
-            );
-            applied[c] = 0;
-        }
-
-        // Full differential audit, client by client. Divergences name the
-        // client, the owning shard and the group that was in flight when
-        // power went out.
-        for c in 0..clients {
-            for (lpid, expect) in &shadows[c] {
-                match sh.read(*lpid) {
-                    Ok(got) if got.as_ref() == expect.as_slice() => {}
-                    Ok(got) => {
-                        let what = format!(
-                            "client {c}: post-recovery corruption: lpid {lpid} (shard {}) \
-                             expected {} bytes, got {} (group {inflight_group} in flight \
-                             at crash)",
-                            sh.unit_of(*lpid),
-                            expect.len(),
-                            got.len()
-                        );
-                        return Err(with_events(fail(cycle, 0, what), &sh));
-                    }
-                    Err(e) => {
-                        let what = format!(
-                            "client {c}: post-recovery loss: ACKed lpid {lpid} (shard {}) \
-                             unreadable: {e} (group {inflight_group} in flight at crash)",
-                            sh.unit_of(*lpid)
-                        );
-                        return Err(with_events(fail(cycle, 0, what), &sh));
-                    }
-                }
-                report.audited_pages += 1;
-            }
-            for lpid in &deleteds[c] {
-                match sh.read(*lpid) {
-                    Err(EleosError::NotFound(_)) => {}
-                    Ok(_) => {
-                        let what = format!(
-                            "client {c}: post-recovery resurrection: deleted lpid {lpid} \
-                             (shard {}) readable (group {inflight_group} in flight at crash)",
-                            sh.unit_of(*lpid)
-                        );
-                        return Err(with_events(fail(cycle, 0, what), &sh));
-                    }
-                    Err(e) => {
-                        let what = format!(
-                            "client {c}: post-recovery: deleted lpid {lpid} (shard {}) \
-                             errored oddly: {e}",
-                            sh.unit_of(*lpid)
-                        );
-                        return Err(with_events(fail(cycle, 0, what), &sh));
-                    }
-                }
-            }
-        }
-
-        if let Some(what) = capacity_invariant(&sh) {
-            return Err(with_events(fail(cycle, 0, what), &sh));
-        }
+        Ok(self)
     }
 
-    accumulate(&mut report, &sh);
-    report.groups += fe.groups_flushed();
-    report.retired_eblocks = retired_count(&sh);
-    report.live_pages = shadows.iter().map(|s| s.len() as u64).sum();
-    Ok(report)
+    /// After recovery: resolve every client's unacknowledged operations
+    /// against what recovery decided, then audit every client's
+    /// acknowledged state and each shard's capacity accounting. Queued
+    /// batches die with the front-end.
+    fn settle(&mut self) -> Result<(), String> {
+        let in_flight = self.fe.as_ref().map(Frontend::next_group_id);
+        self.fe = frontend(self.cfg.clients);
+        self.acked.fill(0);
+        let diverged = |c: usize, d: Divergence, sh: &C| {
+            let group = in_flight
+                .map(|g| format!(" (group {g} in flight at crash)"))
+                .unwrap_or_default();
+            format!(
+                "client {c}: post-recovery {d} (shard {}){group}",
+                sh.unit_of(d.lpid)
+            )
+        };
+        for c in 0..self.models.len() {
+            if let Err(d) = self.models[c].resolve(|l| read_lpid(&mut self.sh, l)) {
+                return Err(diverged(c, d, &self.sh));
+            }
+        }
+        for c in 0..self.models.len() {
+            match self.models[c].audit(|l| read_lpid(&mut self.sh, l)) {
+                Ok(n) => self.report.audited_pages += n,
+                Err(d) => return Err(diverged(c, d, &self.sh)),
+            }
+        }
+        capacity_invariant(&self.sh).map_or(Ok(()), Err)
+    }
 }
-
 /// Check the space-accounting invariants on every shard; `Some(description)`
 /// on violation.
 fn capacity_invariant<C: Controller>(sh: &C) -> Option<String> {
@@ -923,151 +706,6 @@ fn accumulate<C: Controller>(report: &mut ChaosReport, sh: &C) {
         report.action_retries += s.action_retries;
         report.checkpoints += s.checkpoints;
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn chaos_write<C: Controller>(
-    cfg: &ChaosConfig,
-    rng: &mut StdRng,
-    sh: &mut C,
-    shadow: &mut BTreeMap<u64, Vec<u8>>,
-    deleted: &mut BTreeSet<u64>,
-    version: &mut u64,
-    undecided: &mut Option<Undecided>,
-    report: &mut ChaosReport,
-) -> Result<(), String> {
-    let mut b = WriteBatch::new(eleos::PageMode::Variable);
-    let mut staged: Vec<(u64, Vec<u8>)> = Vec::new();
-    for _ in 0..rng.gen_range(1..8usize) {
-        *version += 1;
-        let lpid = rng.gen_range(0..cfg.max_lpid);
-        let data = page_content(lpid, *version, rng.gen_range(64..1536));
-        if staged.iter().any(|(l, _)| *l == lpid) {
-            continue; // one version per LPID per batch keeps the oracle simple
-        }
-        b.put(lpid, &data).map_err(|e| format!("put failed: {e}"))?;
-        staged.push((lpid, data));
-    }
-    // Section VII contract: ActionAborted means "retry the buffer".
-    for _attempt in 0..8 {
-        match sh.write(&b) {
-            Ok(_) => {
-                report.batches += 1;
-                for (l, d) in staged {
-                    deleted.remove(&l);
-                    shadow.insert(l, d);
-                }
-                return Ok(());
-            }
-            Err(EleosError::ActionAborted) => {
-                report.aborts_retried += 1;
-                continue;
-            }
-            Err(EleosError::DeviceFull) => {
-                // Genuinely full (retirement shrinks capacity): the batch
-                // is dropped, the shadow unchanged. Nudge GC to reclaim.
-                report.device_full += 1;
-                match sh.maintenance() {
-                    Ok(()) | Err(EleosError::ActionAborted) | Err(EleosError::DeviceFull) => {}
-                    Err(EleosError::ShutDown) => return Ok(()), // next crash handles it
-                    Err(e) => return Err(format!("maintenance after DeviceFull failed: {e}")),
-                }
-                return Ok(());
-            }
-            Err(EleosError::ShutDown) => {
-                // Mid-2PC shutdown: the commit decision is undecided at the
-                // host. Recovery (after the crash this forces) decides it.
-                *undecided = Some(Undecided::Write(staged));
-                return Ok(());
-            }
-            Err(e) => return Err(format!("write failed non-retryably: {e}")),
-        }
-    }
-    // Bounded retries exhausted without an ack: batch dropped, no shadow
-    // update — still within contract.
-    Ok(())
-}
-
-fn chaos_delete<C: Controller>(
-    rng: &mut StdRng,
-    sh: &mut C,
-    shadow: &mut BTreeMap<u64, Vec<u8>>,
-    deleted: &mut BTreeSet<u64>,
-    undecided: &mut Option<Undecided>,
-    report: &mut ChaosReport,
-) -> Result<(), String> {
-    if shadow.is_empty() {
-        return Ok(());
-    }
-    let keys: Vec<u64> = shadow.keys().copied().collect();
-    let n = rng.gen_range(1..=4usize.min(keys.len()));
-    let mut pick: Vec<u64> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let k = keys[rng.gen_range(0..keys.len())];
-        if !pick.contains(&k) {
-            pick.push(k);
-        }
-    }
-    for _attempt in 0..8 {
-        match sh.delete(&pick) {
-            Ok(()) => {
-                report.deletes += 1;
-                for l in &pick {
-                    shadow.remove(l);
-                    deleted.insert(*l);
-                }
-                return Ok(());
-            }
-            Err(EleosError::ActionAborted) => {
-                report.aborts_retried += 1;
-                continue;
-            }
-            Err(EleosError::ShutDown) => {
-                *undecided = Some(Undecided::Delete(pick));
-                return Ok(());
-            }
-            Err(EleosError::DeviceFull) => return Ok(()),
-            Err(e) => return Err(format!("delete_batch failed non-retryably: {e}")),
-        }
-    }
-    Ok(())
-}
-
-fn chaos_audit<C: Controller>(
-    rng: &mut StdRng,
-    sh: &mut C,
-    shadow: &BTreeMap<u64, Vec<u8>>,
-    deleted: &BTreeSet<u64>,
-    report: &mut ChaosReport,
-) -> Result<(), String> {
-    if !shadow.is_empty() {
-        let keys: Vec<u64> = shadow.keys().copied().collect();
-        let n = rng.gen_range(1..=12usize.min(keys.len()));
-        let lpids: Vec<u64> = (0..n).map(|_| keys[rng.gen_range(0..keys.len())]).collect();
-        let pages = sh
-            .read_batch(&lpids)
-            .map_err(|e| format!("read_batch of live lpids failed: {e}"))?;
-        for (lpid, got) in lpids.iter().zip(pages.iter()) {
-            let expect = &shadow[lpid];
-            if got.as_ref() != expect.as_slice() {
-                return Err(format!(
-                    "live read divergence: lpid {lpid} (shard {}) expected {} bytes, got {}",
-                    sh.unit_of(*lpid),
-                    expect.len(),
-                    got.len()
-                ));
-            }
-            report.audited_pages += 1;
-        }
-    }
-    if let Some(&lpid) = deleted.iter().next() {
-        match sh.read(lpid) {
-            Err(EleosError::NotFound(_)) => {}
-            Ok(_) => return Err(format!("deleted lpid {lpid} still readable")),
-            Err(e) => return Err(format!("deleted lpid {lpid} errored oddly: {e}")),
-        }
-    }
-    Ok(())
 }
 
 /// Run `n_seeds` short soaks (for repro_all / EXPERIMENTS.md) and render
@@ -1142,7 +780,7 @@ mod tests {
     }
 
     /// Multi-client front-end smoke: four client streams through group
-    /// commit, per-client shadows, must complete divergence-free.
+    /// commit, one model per client, must complete divergence-free.
     #[test]
     fn multi_client_chaos_smoke_fixed_seed() {
         let cfg = ChaosConfig {

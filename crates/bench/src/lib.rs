@@ -21,6 +21,7 @@ pub mod experiments;
 pub mod frontend_scale;
 pub mod gc_lab;
 pub mod harness;
+pub mod model;
 pub mod report;
 pub mod shard_scale;
 pub mod tpcc_driver;

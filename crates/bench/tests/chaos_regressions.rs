@@ -64,6 +64,32 @@ fn seed_9_high_fail_p_stale_standby_corruption() {
     check(ChaosConfig { seed: 9, fail_p: 0.006, ..Default::default() });
 }
 
+/// A GC pass provisioned one round's live pages into GC bins, then a
+/// later round's bin allocation failed with `DeviceFull`. The pass was
+/// dropped, but the bins' cursors still pointed past WBLOCKs that were
+/// never programmed, so the next program into such a bin failed with
+/// `OutOfOrderProgram` — here under a front-end flush. Fixed by
+/// unwinding a failed provisioning's plan the way an aborted action's
+/// plan is unwound (`Eleos::provision`, `Eleos::unwind_plan`).
+#[test]
+fn seed_30_failed_gc_provisioning_keeps_cursor_advances() {
+    check(ChaosConfig { seed: 30, clients: 4, ..Default::default() });
+}
+
+/// The same stale-cursor defect on a single writer over two shards,
+/// surfacing in a checkpoint.
+#[test]
+fn seed_102_failed_provisioning_two_shards() {
+    check(ChaosConfig { seed: 102, shards: 2, cycles: 7, ..Default::default() });
+}
+
+/// The same stale-cursor defect through the front-end over two shards,
+/// surfacing in a checkpoint.
+#[test]
+fn seed_120_failed_provisioning_sharded_front_end() {
+    check(ChaosConfig { seed: 120, clients: 4, shards: 2, ..Default::default() });
+}
+
 /// The soak's own acceptance bar: default configuration, first ten
 /// seeds, zero divergences.
 #[test]

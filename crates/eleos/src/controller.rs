@@ -1371,12 +1371,20 @@ impl Eleos {
     ) -> Result<()> {
         plan.addrs.resize(pages.len(), PhysAddr::new(0, 0, 0, 0));
         for (range, dest) in segs {
-            match *dest {
-                Dest::User => self.provision_user(pages, range.clone(), plan)?,
+            let provisioned = match *dest {
+                Dest::User => self.provision_user(pages, range.clone(), plan),
                 Dest::GcBin { victim_channel, .. } => {
                     let channel = self.gc_dest_channel(victim_channel);
-                    self.provision_chunk(channel, pages, range.clone(), *dest, plan)?;
+                    self.provision_chunk(channel, pages, range.clone(), *dest, plan)
                 }
+            };
+            if let Err(e) = provisioned {
+                // The plan will never run (a GC pass drops with it every
+                // round staged before): roll back the cursors it advanced,
+                // or the next program into them skips unwritten WBLOCKs.
+                let lsn = self.wal.next_lsn();
+                self.unwind_plan(plan, None, lsn)?;
+                return Err(e);
             }
         }
         Ok(())
@@ -1595,19 +1603,31 @@ impl Eleos {
         self.note_program_failure(failed.eblock);
         let abort_lsn = self.log_append(&LogRecord::Abort { action: id })?;
         self.active_first_lsn.remove(&id);
-        let geo = *self.dev.geometry();
         let failed_eb = failed.eblock;
+        self.unwind_plan(plan, Some(failed_eb), abort_lsn)?;
+        // Migrate the poisoned EBLOCK (Section VII). If it was closed by
+        // this very plan its metadata never reached flash — use the close
+        // event's in-memory copy.
+        match plan.closes.iter().find(|c| c.addr == failed_eb) {
+            Some(c) => self.migrate_with_meta(failed_eb, &c.entries, depth)?,
+            None => self.migrate_eblock(failed_eb, depth)?,
+        }
+        Err(EleosError::ActionAborted)
+    }
+
+    /// Reconcile a plan that will never commit with the device. EBLOCKs
+    /// that the plan *closed* are repaired to a durable close (gaps
+    /// zero-filled), so their whole provisioned region is garbage; EBLOCKs
+    /// still open roll their cursor back to the device frontier, leaving
+    /// only the programmed part as garbage. `failed` is skipped: migration
+    /// reclaims it whole.
+    fn unwind_plan(&mut self, plan: &Plan, failed: Option<EblockAddr>, lsn: Lsn) -> Result<()> {
+        let geo = *self.dev.geometry();
         let closed: std::collections::HashSet<EblockAddr> =
             plan.closes.iter().map(|c| c.addr).collect();
-
-        // Reconcile every touched EBLOCK with the device frontier. EBLOCKs
-        // that this plan *closed* will be repaired to a durable close below
-        // (gaps zero-filled), so their whole provisioned region is garbage;
-        // EBLOCKs still open roll their cursor back to the device frontier,
-        // leaving only the programmed part as garbage.
         for &(eb, start, end) in &plan.touched {
-            if eb == failed_eb {
-                continue; // migration reclaims the whole EBLOCK
+            if Some(eb) == failed {
+                continue;
             }
             let dev_frontier = self.dev.programmed_wblocks(eb)? as u64 * geo.wblock_bytes as u64;
             let garbage = if closed.contains(&eb) {
@@ -1617,24 +1637,16 @@ impl Eleos {
                 dev_frontier.min(end).saturating_sub(start.min(dev_frontier))
             };
             if garbage > 0 {
-                self.summary.update(eb, abort_lsn, |d| d.avail += garbage);
+                self.summary.update(eb, lsn, |d| d.avail += garbage);
             }
         }
         // Closed EBLOCKs whose metadata never hit flash get repaired now.
         for c in &plan.closes {
-            if c.addr == failed_eb {
-                continue;
+            if Some(c.addr) != failed {
+                self.ensure_close_durable(c)?;
             }
-            self.ensure_close_durable(c)?;
         }
-        // Migrate the poisoned EBLOCK (Section VII). If it was closed by
-        // this very plan its metadata never reached flash — use the close
-        // event's in-memory copy.
-        match plan.closes.iter().find(|c| c.addr == failed_eb) {
-            Some(c) => self.migrate_with_meta(failed_eb, &c.entries, depth)?,
-            None => self.migrate_eblock(failed_eb, depth)?,
-        }
-        Err(EleosError::ActionAborted)
+        Ok(())
     }
 
     fn rollback_cursor_frontier(&mut self, eb: EblockAddr, dev_frontier: u64) {
