@@ -90,6 +90,25 @@ fn seed_120_failed_provisioning_sharded_front_end() {
     check(ChaosConfig { seed: 120, clients: 4, shards: 2, ..Default::default() });
 }
 
+/// A cross-shard delete including LPID 102 committed and installed, then
+/// the map-eviction flush after it found no space and returned
+/// `DeviceFull`. The router reported the durable delete as failed, the
+/// model kept LPID 102, and recovery correctly had it deleted. Fixed by
+/// absorbing `DeviceFull` in post-commit housekeeping like an abort
+/// (`Eleos::post_write_maintenance`).
+#[test]
+fn seed_62_committed_delete_reported_device_full() {
+    check(ChaosConfig { seed: 62, shards: 2, cycles: 8, ..Default::default() });
+}
+
+/// The same housekeeping `DeviceFull` after a committed cross-shard
+/// delete, at the higher program-failure rate: the model kept LPID 33,
+/// which recovery correctly had deleted.
+#[test]
+fn seed_189_high_fail_p_committed_group_reported_device_full() {
+    check(ChaosConfig { seed: 189, fail_p: 0.02, shards: 2, cycles: 8, ..Default::default() });
+}
+
 /// The soak's own acceptance bar: default configuration, first ten
 /// seeds, zero divergences.
 #[test]

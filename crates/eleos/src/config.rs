@@ -86,12 +86,6 @@ pub struct GcConfig {
     /// Enable the cold/hot separation of GC writes from user writes. Always
     /// on in the paper; off is an ablation.
     pub hot_cold_separation: bool,
-    /// Maximum nested retry depth for failure-path migrations (a program
-    /// failure while relocating pages away from an earlier failure). Each
-    /// retry relocates to a freshly provisioned destination; exhausting
-    /// the bound shuts the controller down (recovery still replays
-    /// everything durable).
-    pub migrate_retry_limit: u32,
     /// Candidate window for [`GcPolicy::WindowedGreedy`]: greedy selection
     /// considers only this many oldest closed EBLOCKs per channel. Too
     /// narrow a window is dangerous, not just slow: under sequential fill
@@ -110,7 +104,6 @@ impl Default for GcConfig {
             free_target: 0.15,
             open_bins: 3,
             hot_cold_separation: true,
-            migrate_retry_limit: 3,
             greedy_window: 8,
         }
     }
@@ -174,12 +167,6 @@ pub struct EleosConfig {
     /// retirement (every failure is treated as transient, the pre-PR-3
     /// behaviour).
     pub retire_program_failures: u16,
-    /// Bounded retry attempts for checkpoint-internal flush actions that
-    /// abort on a program failure. The abort path has already migrated
-    /// valid pages off the poisoned EBLOCK, so a retry provisions
-    /// elsewhere; without the retry the abort would surface to whichever
-    /// user write happened to trigger the automatic checkpoint.
-    pub ckpt_retry_attempts: u32,
     /// Simulated-time telemetry (DESIGN.md §10): latency spans, the
     /// resource × activity attribution ledger, and the structured event
     /// ring. Recording is passive — it never touches the clock, the RNG or
@@ -202,7 +189,6 @@ impl Default for EleosConfig {
             log_standby_eblocks: 2,
             wear_aware_alloc: false,
             retire_program_failures: 4,
-            ckpt_retry_attempts: 3,
             telemetry: true,
         }
     }

@@ -16,16 +16,19 @@
 //! victim erases wait for the end of the pass. A pass commits early only
 //! before a round that could run a channel's free list dry.
 
+use super::action::{ActionPage, Dest, Plan, Segment};
+use super::provision::decode_eblock_meta;
+use super::Eleos;
 use crate::config::GcPolicy;
-use crate::controller::{ActionPage, Dest, Eleos, Plan, Segment};
 use crate::error::{EleosError, Result};
-use crate::provision::decode_eblock_meta;
+use crate::phys::PhysAddr;
 use crate::summary::{EblockDesc, EblockPurpose, EblockState};
-use crate::types::{ActionKind, Lpid, PageKind, Usn};
+use crate::types::{ActionKind, IntHash, Lpid, PageKind, Usn};
 use bytes::Bytes;
 use eleos_flash::{
     Activity, ByteExtent, EblockAddr, FlashDevice, Geometry, IoTicket, Nanos, SpanKind,
 };
+use std::collections::HashSet;
 
 /// One victim readied for relocation: its address, birth timestamp, and
 /// the (kind, lpid) entries decoded from its persisted metadata.
@@ -84,7 +87,7 @@ impl Pass {
 /// [`FlashDevice::read_extents_async`], and each extent is sliced out of its
 /// run. Returns the extents' bytes in input order and the runs' tickets,
 /// not yet waited on.
-pub(crate) fn read_in_rblock_runs(
+fn read_in_rblock_runs(
     dev: &mut FlashDevice,
     exts: &[ByteExtent],
 ) -> Result<(Vec<Bytes>, Vec<IoTicket>)> {
@@ -160,26 +163,25 @@ impl Eleos {
         // Attribute everything underneath — victim scans, relocation
         // actions, erases, and any WAL appends they cause — to GC (WAL
         // I/O re-scopes itself inside `log_append`).
-        self.with_activity(Activity::Gc, |this| this.maybe_gc_impl())
-    }
-
-    fn maybe_gc_impl(&mut self) -> Result<()> {
-        if self.shutdown {
-            return Ok(());
-        }
-        let geo = *self.dev.geometry();
-        let total = geo.eblocks_per_channel as f64;
-        let target = (total * self.cfg.gc.free_target).ceil() as usize;
-        let watermark = (total * self.cfg.gc.free_watermark).ceil() as usize;
-        let active = (0..geo.channels)
-            .filter(|&c| self.chans[c as usize].free.len() < watermark)
-            .collect();
-        let mut pass = Pass::default();
-        // An aborted pass has nothing left to commit; a later one retries.
-        if self.gc_rounds(&mut pass, active, target)? {
-            self.commit_pass(&mut pass)?;
-        }
-        Ok(())
+        self.with_activity(Activity::Gc, |this| {
+            if this.shutdown {
+                return Ok(());
+            }
+            let geo = *this.dev.geometry();
+            let total = geo.eblocks_per_channel as f64;
+            let target = (total * this.cfg.gc.free_target).ceil() as usize;
+            let watermark = (total * this.cfg.gc.free_watermark).ceil() as usize;
+            let active = (0..geo.channels)
+                .filter(|&c| this.chans[c as usize].free.len() < watermark)
+                .collect();
+            let mut pass = Pass::default();
+            // An aborted pass has nothing left to commit; a later one
+            // retries.
+            if this.gc_rounds(&mut pass, active, target)? {
+                this.commit_pass(&mut pass)?;
+            }
+            Ok(())
+        })
     }
 
     /// A channel's free EBLOCKs as GC's targets count them: its free list
@@ -264,7 +266,7 @@ impl Eleos {
     /// EBLOCK on `channel` from the log-reclaim index, or `None`. Entries
     /// are validated against the summary on pop: stale ones (erased or
     /// repurposed since insertion) are dropped, re-keyed ones corrected.
-    pub(crate) fn pop_truncated_log_eblock(&mut self, channel: u32) -> Option<EblockAddr> {
+    fn pop_truncated_log_eblock(&mut self, channel: u32) -> Option<EblockAddr> {
         loop {
             let &(key_lsn, eb) = self.chans[channel as usize].log_reclaim.iter().next()?;
             let addr = EblockAddr::new(channel, eb);
@@ -299,7 +301,7 @@ impl Eleos {
     /// erased block is retired in victim order. An error mid-batch still retires
     /// the successfully erased prefix — those blocks are physically erased,
     /// so their descriptors must not go stale — before propagating.
-    pub(crate) fn erase_batch(&mut self, ebs: &[EblockAddr]) -> Result<()> {
+    fn erase_batch(&mut self, ebs: &[EblockAddr]) -> Result<()> {
         match ebs {
             [] => Ok(()),
             [eb] => self.erase_and_free(*eb),
@@ -457,11 +459,79 @@ impl Eleos {
         Ok(true)
     }
 
+    /// Newest-to-oldest validity scan over metadata entries (Section VI-C,
+    /// Fig. 6): duplicate LPIDs must be moved only once, and an entry is
+    /// valid only if the mapping still points into this EBLOCK.
+    ///
+    /// The paper deduplicates by requiring monotonically decreasing
+    /// addresses. That invariant breaks when an *aborted* action left a
+    /// metadata entry at a newer position whose LPID still maps to an older
+    /// offset — the stale entry would lower the watermark and cause a later
+    /// valid page to be skipped (and then erased). We therefore deduplicate
+    /// with an explicit seen-set, which subsumes the monotonic rule and is
+    /// immune to aborted-entry poisoning.
+    pub(super) fn scan_valid_pages(
+        &mut self,
+        eb: EblockAddr,
+        meta: &[(PageKind, Lpid)],
+    ) -> Result<Vec<ActionPage>> {
+        let mut valid = Vec::new();
+        let tickets = self.scan_valid_pages_submit(eb, meta, &mut valid)?;
+        self.dev.clock_mut().wait_all(&tickets);
+        Ok(valid)
+    }
+
+    /// Validity scan with deferred completion, appending the valid pages to
+    /// `valid` in oldest-to-newest write order. The lookups run first, all
+    /// of them, so mapping faults keep their serial order; the valid
+    /// entries' data is then read as RBLOCK runs ([`read_in_rblock_runs`]),
+    /// so an RBLOCK shared by several live LPAGEs is read once. The run
+    /// tickets are returned instead of waited on: callers collecting
+    /// several EBLOCKs batch them so reads on distinct channels overlap.
+    fn scan_valid_pages_submit(
+        &mut self,
+        eb: EblockAddr,
+        meta: &[(PageKind, Lpid)],
+        valid: &mut Vec<ActionPage>,
+    ) -> Result<Vec<IoTicket>> {
+        let mut found: Vec<(Lpid, PageKind, u64, ByteExtent)> = Vec::new();
+        let mut seen: HashSet<Lpid, IntHash> =
+            HashSet::with_capacity_and_hasher(meta.len(), IntHash::default());
+        for &(kind, lpid) in meta.iter().rev() {
+            if !seen.insert(lpid) {
+                continue; // obsolete older version of an LPID already seen
+            }
+            let packed = self.lookup_addr(kind, lpid)?;
+            let Some(addr) = PhysAddr::unpack(packed) else {
+                continue;
+            };
+            if addr.eblock_addr() != eb {
+                continue;
+            }
+            found.push((lpid, kind, packed, addr.extent()));
+        }
+        found.reverse(); // restore oldest-to-newest write order
+        let exts: Vec<ByteExtent> = found.iter().map(|f| f.3).collect();
+        let (pages, tickets) = read_in_rblock_runs(&mut self.dev, &exts)?;
+        valid.extend(
+            found
+                .into_iter()
+                .zip(pages)
+                .map(|((lpid, kind, old_addr, _), bytes)| ActionPage {
+                    lpid,
+                    kind,
+                    bytes,
+                    old_addr,
+                }),
+        );
+        Ok(tickets)
+    }
+
     /// Pick the victim per the configured selection policy. All policies
     /// share the min-score convention; candidates keep channel eb-index
     /// order so ties resolve to the lowest EBLOCK deterministically.
     /// EBLOCKs of the channel in `skip` are passed over.
-    pub(crate) fn select_victim(&self, channel: u32, skip: &[u32]) -> Option<EblockAddr> {
+    fn select_victim(&self, channel: u32, skip: &[u32]) -> Option<EblockAddr> {
         let geo = *self.dev.geometry();
         let now = self.usn;
         let mut candidates: Vec<(EblockAddr, EblockDesc)> = Vec::new();
@@ -520,11 +590,6 @@ impl Eleos {
             self.checkpoint()?;
         }
         Ok(())
-    }
-
-    /// Free-EBLOCK count per channel (experiment introspection).
-    pub fn free_eblocks(&self) -> Vec<usize> {
-        self.chans.iter().map(|c| c.free.len()).collect()
     }
 }
 
@@ -609,30 +674,8 @@ impl Eleos {
     }
 
     /// Diagnostic: where an LPID currently lives.
-    pub fn lpid_location(&mut self, lpid: crate::types::Lpid) -> crate::error::Result<Option<crate::phys::PhysAddr>> {
+    pub fn lpid_location(&mut self, lpid: Lpid) -> Result<Option<PhysAddr>> {
         self.mapping.get(lpid, &mut self.dev)
-    }
-}
-
-impl Eleos {
-    /// Current log-truncation LSN (diagnostics).
-    pub fn trunc_lsn(&self) -> crate::types::Lsn {
-        self.trunc_lsn
-    }
-
-    /// Diagnostic: `(channel, eblock, max_lsn)` of Used log EBLOCKs.
-    pub fn log_eblock_lsns(&self) -> Vec<(u32, u32, u64)> {
-        let geo = *self.dev.geometry();
-        let mut out = Vec::new();
-        for ch in 0..geo.channels {
-            for eb in 0..geo.eblocks_per_channel {
-                let d = self.summary.get(EblockAddr::new(ch, eb));
-                if d.purpose == EblockPurpose::Log && d.state == EblockState::Used {
-                    out.push((ch, eb, d.max_lsn));
-                }
-            }
-        }
-        out
     }
 }
 
@@ -642,7 +685,6 @@ mod tests {
     use crate::batch::WriteBatch;
     use crate::config::{EleosConfig, GcConfig, PageMode};
     use crate::controller::WriteOpts;
-    use crate::phys::PhysAddr;
     use eleos_flash::CostProfile;
     use std::collections::BTreeMap;
 

@@ -17,13 +17,15 @@
 //! frontier ("reading forward until we encounter the first empty WBLOCK")
 //! and force-closed; free lists are rebuilt from the summary table.
 
+use super::action::Dest;
+use super::provision::{decode_eblock_meta, ChannelState, OpenEblock};
+use super::Eleos;
+use crate::batch::{decode_stored_header, ENTRY_HEADER};
 use crate::ckpt::CkptArea;
 use crate::config::EleosConfig;
-use crate::controller::{Dest, Eleos};
 use crate::error::{EleosError, Result};
 use crate::mapping::MappingTable;
 use crate::phys::PhysAddr;
-use crate::provision::{decode_eblock_meta, OpenEblock};
 use crate::stats::EleosStats;
 use crate::summary::{EblockPurpose, EblockState, SummaryTable};
 use crate::types::{ActionId, ActionKind, Lpid, Lsn, PageKind};
@@ -32,9 +34,6 @@ use eleos_flash::{Activity, EblockAddr, FlashDevice, SpanKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap, HashSet};
-
-use crate::batch::{decode_stored_header, ENTRY_HEADER};
-use crate::provision::ChannelState;
 
 /// Buffered per-action state during replay.
 #[derive(Debug, Default)]
@@ -73,8 +72,8 @@ struct ReplayOutcome {
 /// coordinator's durable group decisions and the gid high-water mark.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CoordRecovery {
-    pub coord_commits: HashSet<u64>,
-    pub max_gid: u64,
+    pub(crate) coord_commits: HashSet<u64>,
+    pub(crate) max_gid: u64,
 }
 
 impl Eleos {
@@ -218,7 +217,7 @@ impl Eleos {
 
         // ---------------- assemble the controller ----------------
         let chans: Vec<ChannelState> = (0..geo.channels)
-            .map(|c| ChannelState::new(c, cfg.gc.open_bins))
+            .map(|_| ChannelState::new(cfg.gc.open_bins))
             .collect();
         let mut this = Eleos {
             dev,
@@ -238,7 +237,6 @@ impl Eleos {
             rng: StdRng::seed_from_u64(0x1EE0_5EED ^ ckpt.seq),
             shutdown: false,
             next_chan_rr: 0,
-            trace_filter: Self::parse_trace_filter(),
             cfg,
         };
 
@@ -265,7 +263,7 @@ impl Eleos {
         // allocate — so the free lists need a first rebuild *before* the
         // fixup. The rebuild runs again afterwards (it is idempotent) to
         // account for every block the fixup freed or consumed.
-        this.rebuild_free_lists(&scan)?;
+        this.rebuild_free_lists()?;
         // `resume` starts the writer with zero standbys, so every seal up
         // to this point had only the in-EBLOCK forward pointer. The fixup
         // below can append enough records (force-closes, migrations) to
@@ -280,7 +278,7 @@ impl Eleos {
         // holds no Prepare records — the unsharded path is byte-identical.
         this.resolve_prepared(pending, &committed_gids)?;
         this.fixup_open_eblocks(open_meta, frontier, &scan)?;
-        this.rebuild_free_lists(&scan)?;
+        this.rebuild_free_lists()?;
         // Seed the per-channel log-reclaim index now that every descriptor
         // has settled: each Used+Log EBLOCK is a future truncation
         // candidate (runtime transitions are indexed by `after_seal`).
@@ -782,32 +780,21 @@ impl Eleos {
                 if ob.can_accept(0, 0, &geo) {
                     self.force_close_now(ob, Dest::User)?;
                 } else {
-                    // No room left for metadata: migrate the whole EBLOCK.
-                    self.migrate_from_meta(eb, ob.meta)?;
+                    // No room left for metadata: migrate the whole EBLOCK
+                    // with the rebuilt metadata. A program failure during
+                    // recovery relocates and retries like any migration.
+                    self.migrate_with_meta(eb, &ob.meta, 0)?;
                 }
             }
         }
         Ok(())
     }
 
-    /// Migrate an EBLOCK using already-rebuilt metadata (recovery variant
-    /// of `migrate_eblock`, which would look for an open cursor).
-    /// Delegates to the bounded retry-with-relocation core so a program
-    /// failure *during recovery* relocates and retries instead of failing
-    /// the whole recovery.
-    fn migrate_from_meta(
-        &mut self,
-        eb: EblockAddr,
-        meta: Vec<(PageKind, Lpid)>,
-    ) -> Result<()> {
-        self.migrate_with_meta(eb, &meta, 0)
-    }
-
     /// Rebuild per-channel free lists from descriptor states. Idempotent
     /// (each call rebuilds from scratch): recovery runs it both before the
     /// open-EBLOCK fixup, so fixup-time migrations can allocate, and after,
     /// so blocks the fixup freed or consumed are accounted for.
-    fn rebuild_free_lists(&mut self, _scan: &crate::wal::ScanResult) -> Result<()> {
+    fn rebuild_free_lists(&mut self) -> Result<()> {
         let geo = *self.dev.geometry();
         for ch in 0..geo.channels {
             self.chans[ch as usize].free.clear();

@@ -55,28 +55,26 @@
 //! | III-A interface & sessions | [`batch`], [`session`], [`controller`] |
 //! | III-B mapping table (3 levels) | [`mapping`] |
 //! | III-B EBLOCK summary table | [`summary`] |
-//! | IV write path & provisioning | [`controller`], [`provision`] |
+//! | IV write path & provisioning | [`controller`] |
 //! | V read path | [`controller`] |
-//! | VI garbage collection | [`gc`] |
+//! | VI garbage collection | [`controller`] |
 //! | VII write failures | [`controller`] (migration) |
-//! | VIII durability & recovery | [`wal`], [`ckpt`], [`recovery`] |
+//! | VIII durability & recovery | [`wal`], [`ckpt`], [`controller`] |
+//!
+//! [`controller`] keeps one file per section; its module docs map them.
 
 #![forbid(unsafe_code)]
 
 pub mod api;
 pub mod batch;
 pub mod ckpt;
-mod ckpt_ops;
 pub mod codec;
 pub mod config;
 pub mod controller;
 pub mod error;
 pub mod frontend;
-pub mod gc;
 pub mod mapping;
 pub mod phys;
-pub mod provision;
-pub mod recovery;
 pub mod session;
 pub mod sharded;
 pub mod stats;
@@ -88,12 +86,11 @@ pub mod wal;
 pub use api::Controller;
 pub use batch::WriteBatch;
 pub use config::{EleosConfig, GcConfig, GcPolicy, MapCachePolicy, PageMode};
-pub use controller::{BatchAck, Eleos, WriteOpts};
+pub use controller::{BatchAck, Eleos, SpaceReport, WriteOpts};
 pub use error::{EleosError, Result};
 pub use frontend::{Frontend, GroupAck, GroupCommitPolicy};
 pub use mapping::MapCacheStats;
 pub use phys::{PhysAddr, NULL_PADDR};
-pub use gc::SpaceReport;
 pub use sharded::{shard_of_lpid, ShardedEleos, ShardedFrontend};
 pub use stats::EleosStats;
 pub use telemetry_snapshot::{MergedSnapshot, TelemetrySnapshot};

@@ -243,11 +243,7 @@ impl ShardedEleos {
         if batch.is_empty() {
             return Err(EleosError::EmptyBatch);
         }
-        for &(sid, _) in advances {
-            if sid == 0 || !self.shards[0].sessions.is_open(sid) {
-                return Err(EleosError::UnknownSession(sid));
-            }
-        }
+        self.shards[0].check_sessions_open(advances)?;
         let subs = self.split_batch(batch)?;
         if subs.len() == 1 {
             let (s, _) = subs.into_iter().next().unwrap();
