@@ -4,15 +4,18 @@
 //! the subset of `bytes` it uses as an in-tree path dependency with the same
 //! package name. `Bytes` is a refcounted immutable byte slice backed by
 //! `Arc<Vec<u8>>`: cloning and `slice()` are O(1) refcount bumps, which is
-//! what the zero-copy data plane relies on. `BytesMut` is an append-only
-//! builder whose `freeze()` hands the accumulated buffer to a `Bytes`
-//! without copying.
+//! what the zero-copy data plane relies on. There is no `BytesMut`: the one
+//! mutable byte buffer, `eleos::WriteBatch`, keeps its own `Arc<Vec<u8>>`.
 //!
-//! One deliberate extension over upstream: [`Bytes::try_extend`] widens a
-//! slice over the next one when both are adjacent views of the same backing
-//! allocation. The flash provisioning path uses it to recognise that
-//! consecutive batch entries are one contiguous region of the original
-//! write-batch buffer.
+//! Two deliberate extensions over upstream:
+//! - `From<Arc<Vec<u8>>>` views a shared vector without copying it. The
+//!   controller uses it to adopt a write batch's buffer. The view pins the
+//!   vector: its owner can only change it through `Arc::make_mut`, which
+//!   copies while a view is alive, so a `Bytes` never changes.
+//! - [`Bytes::try_extend`] widens a slice over the next one when both are
+//!   adjacent views of the same backing allocation. The flash provisioning
+//!   path uses it to recognise that consecutive batch entries are one
+//!   contiguous region of the original write-batch buffer.
 
 #![forbid(unsafe_code)]
 
@@ -116,9 +119,16 @@ impl Borrow<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        let end = v.len();
+        Bytes::from(Arc::new(v))
+    }
+}
+
+/// A view of the whole shared vector (no copy).
+impl From<Arc<Vec<u8>>> for Bytes {
+    fn from(data: Arc<Vec<u8>>) -> Self {
+        let end = data.len();
         Bytes {
-            data: Arc::new(v),
+            data,
             start: 0,
             end,
         }
@@ -228,137 +238,6 @@ impl<const N: usize> PartialEq<&[u8; N]> for Bytes {
     }
 }
 
-/// Sink for serializing integers and slices (subset of `bytes::BufMut`).
-pub trait BufMut {
-    fn put_slice(&mut self, src: &[u8]);
-
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-
-    fn put_u16_le(&mut self, v: u16) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    fn put_u32_le(&mut self, v: u32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    fn put_u64_le(&mut self, v: u64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Append `count` copies of `val`.
-    fn put_bytes(&mut self, val: u8, count: usize);
-}
-
-impl BufMut for Vec<u8> {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.extend_from_slice(src);
-    }
-
-    fn put_bytes(&mut self, val: u8, count: usize) {
-        self.resize(self.len() + count, val);
-    }
-}
-
-/// Append-only byte builder (subset of `bytes::BytesMut`).
-#[derive(Clone, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    buf: Vec<u8>,
-}
-
-impl BytesMut {
-    pub fn new() -> Self {
-        BytesMut { buf: Vec::new() }
-    }
-
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut {
-            buf: Vec::with_capacity(cap),
-        }
-    }
-
-    pub fn reserve(&mut self, additional: usize) {
-        self.buf.reserve(additional);
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.buf.capacity()
-    }
-
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    pub fn clear(&mut self) {
-        self.buf.clear();
-    }
-
-    pub fn extend_from_slice(&mut self, src: &[u8]) {
-        self.buf.extend_from_slice(src);
-    }
-
-    pub fn resize(&mut self, new_len: usize, value: u8) {
-        self.buf.resize(new_len, value);
-    }
-
-    pub fn truncate(&mut self, len: usize) {
-        self.buf.truncate(len);
-    }
-
-    /// Hand the accumulated buffer to an immutable `Bytes` without copying.
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.buf)
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.buf.extend_from_slice(src);
-    }
-
-    fn put_bytes(&mut self, val: u8, count: usize) {
-        self.buf.resize(self.buf.len() + count, val);
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.buf
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        &self.buf
-    }
-}
-
-impl std::ops::DerefMut for BytesMut {
-    fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.buf
-    }
-}
-
-impl From<BytesMut> for Bytes {
-    fn from(b: BytesMut) -> Self {
-        b.freeze()
-    }
-}
-
-impl fmt::Debug for BytesMut {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "BytesMut({} bytes)", self.buf.len())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,14 +266,12 @@ mod tests {
     }
 
     #[test]
-    fn freeze_roundtrip() {
-        let mut m = BytesMut::with_capacity(16);
-        m.put_u16_le(0xE1E0);
-        m.put_u8(7);
-        m.put_slice(b"abc");
-        m.put_bytes(0, 2);
-        let b = m.freeze();
-        assert_eq!(b, [0xE0, 0xE1, 7, b'a', b'b', b'c', 0, 0]);
+    fn shared_vec_is_viewed_not_copied() {
+        let v = Arc::new(vec![1u8, 2, 3]);
+        let b = Bytes::from(Arc::clone(&v));
+        assert_eq!(b, [1u8, 2, 3]);
+        assert_eq!(b.as_ptr(), v.as_ptr());
+        assert_eq!(Arc::strong_count(&v), 2);
     }
 
     #[test]

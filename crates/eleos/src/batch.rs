@@ -16,31 +16,52 @@
 //!
 //! The bytes written to flash are identical to the wire bytes, so a stored
 //! LPAGE is self-identifying (the read path re-verifies the header).
+//!
+//! They are also the same memory. The buffer is refcounted: the
+//! controller's intake adopts it through [`WriteBatch::shared`] instead of
+//! copying it, so every page view, WBLOCK program and stored WBLOCK slices
+//! the host's own allocation (the transport is still charged in simulated
+//! time). A `put` or `append_batch` on a batch whose bytes are still held
+//! elsewhere copies them first, so a stored WBLOCK never changes.
+
+use std::fmt;
+use std::sync::Arc;
 
 use crate::config::PageMode;
 use crate::error::{EleosError, Result};
 use crate::types::{Lpid, PageKind, MAP_PAGE_BASE};
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 /// Magic tag opening every entry header.
 pub const ENTRY_MAGIC: u16 = 0xE1E0;
 /// Bytes of the per-entry header.
 pub const ENTRY_HEADER: usize = 16;
 
+/// Capacity below which a growing batch doubles; above it, it grows by
+/// half. An adopted buffer stays alive, spare capacity included, as long as
+/// a stored WBLOCK points into it, so a large batch keeps at most a third
+/// of its allocation idle instead of half.
+const DOUBLING_LIMIT: usize = 256 << 10;
+
 /// Host-side builder for a write buffer.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct WriteBatch {
     mode: PageMode,
-    buf: BytesMut,
+    buf: Arc<Vec<u8>>,
     entries: usize,
     payload_bytes: u64,
 }
 
 impl WriteBatch {
     pub fn new(mode: PageMode) -> Self {
+        Self::with_capacity(mode, 0)
+    }
+
+    /// An empty batch whose buffer holds `bytes` wire bytes before it grows.
+    pub fn with_capacity(mode: PageMode, bytes: usize) -> Self {
         WriteBatch {
             mode,
-            buf: BytesMut::new(),
+            buf: Arc::new(Vec::with_capacity(bytes)),
             entries: 0,
             payload_bytes: 0,
         }
@@ -60,13 +81,28 @@ impl WriteBatch {
     pub(crate) fn put_internal(&mut self, lpid: Lpid, kind: PageKind, payload: &[u8]) -> Result<()> {
         let entry_len = ENTRY_HEADER + payload.len();
         let stored = self.stored_len_for(entry_len)?;
-        self.buf.reserve(stored);
-        self.buf.put_slice(&encode_header(lpid, kind, payload.len()));
-        self.buf.put_slice(payload);
-        self.buf.put_bytes(0, stored - entry_len);
+        let buf = self.writable(stored);
+        let end = buf.len() + stored;
+        buf.extend_from_slice(&encode_header(lpid, kind, payload.len()));
+        buf.extend_from_slice(payload);
+        buf.resize(end, 0);
         self.entries += 1;
         self.payload_bytes += payload.len() as u64;
         Ok(())
+    }
+
+    /// The buffer, unshared (copied first if a view of it is alive) and
+    /// with room for `additional` more bytes: it doubles up to
+    /// [`DOUBLING_LIMIT`] and grows by half above.
+    fn writable(&mut self, additional: usize) -> &mut Vec<u8> {
+        let buf = Arc::make_mut(&mut self.buf);
+        let need = buf.len() + additional;
+        let cap = buf.capacity();
+        if need > cap {
+            let grown = if cap * 2 <= DOUBLING_LIMIT { cap * 2 } else { cap + cap / 2 };
+            buf.reserve_exact(grown.max(need) - buf.len());
+        }
+        buf
     }
 
     fn stored_len_for(&self, entry_len: usize) -> Result<usize> {
@@ -102,7 +138,7 @@ impl WriteBatch {
         if self.mode != other.mode {
             return Err(EleosError::Corrupt("coalesced batches must share a page mode"));
         }
-        self.buf.extend_from_slice(&other.buf);
+        self.writable(other.buf.len()).extend_from_slice(&other.buf);
         self.entries += other.entries;
         self.payload_bytes += other.payload_bytes;
         Ok(())
@@ -136,6 +172,24 @@ impl WriteBatch {
     /// The wire bytes.
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf
+    }
+
+    /// The wire bytes as a refcounted view of this batch's own buffer (no
+    /// copy). Later `put`s and `append_batch`es copy the buffer first, so
+    /// the view never changes.
+    pub fn shared(&self) -> Bytes {
+        Bytes::from(Arc::clone(&self.buf))
+    }
+}
+
+impl fmt::Debug for WriteBatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WriteBatch")
+            .field("mode", &self.mode)
+            .field("entries", &self.entries)
+            .field("payload_bytes", &self.payload_bytes)
+            .field("wire_len", &self.buf.len())
+            .finish()
     }
 }
 
@@ -201,7 +255,7 @@ pub fn parse_batch(bytes: &[u8], mode: PageMode) -> Result<Vec<EntryView>> {
 }
 
 /// Build the 16-byte entry header in one shot (the encode hot loop appends
-/// it as a single `put_slice` instead of five small writes).
+/// it as a single `extend_from_slice` instead of five small writes).
 fn encode_header(lpid: Lpid, kind: PageKind, payload_len: usize) -> [u8; ENTRY_HEADER] {
     let mut hdr = [0u8; ENTRY_HEADER];
     hdr[0..2].copy_from_slice(&ENTRY_MAGIC.to_le_bytes());
@@ -326,6 +380,63 @@ mod tests {
         b.put(42, &[9; 77]).unwrap();
         let (lpid, kind, plen) = decode_stored_header(b.as_bytes()).unwrap();
         assert_eq!((lpid, kind, plen), (42, PageKind::User, 77));
+    }
+
+    #[test]
+    fn shared_views_the_batch_buffer() {
+        let mut b = WriteBatch::new(PageMode::Variable);
+        b.put(1, &[7; 100]).unwrap();
+        let view = b.shared();
+        assert_eq!(view.as_ptr(), b.as_bytes().as_ptr());
+        assert_eq!(view, b.as_bytes());
+    }
+
+    #[test]
+    fn writes_after_sharing_copy_first() {
+        let mut b = WriteBatch::new(PageMode::Variable);
+        b.put(1, &[1; 100]).unwrap();
+        let first = b.shared();
+        let old = first.to_vec();
+
+        b.put(2, &[2; 100]).unwrap();
+        assert_eq!(first, old);
+        assert_ne!(b.as_bytes().as_ptr(), first.as_ptr());
+        assert_eq!(&b.as_bytes()[..old.len()], &old[..]);
+
+        let second = b.shared();
+        let mut other = WriteBatch::new(PageMode::Variable);
+        other.put(3, &[3; 10]).unwrap();
+        b.append_batch(&other).unwrap();
+        assert_eq!(first, old);
+        assert_eq!(second.len(), 2 * 128);
+        assert_eq!(b.wire_len(), 2 * 128 + 64);
+
+        // A clone shares the buffer until one side writes.
+        let mut c = b.clone();
+        let before = b.shared();
+        assert_eq!(c.as_bytes().as_ptr(), before.as_ptr());
+        c.put(4, &[4; 10]).unwrap();
+        assert_eq!(before, b.as_bytes());
+        assert_eq!(b.wire_len(), 2 * 128 + 64);
+        assert_eq!(c.wire_len(), 2 * 128 + 128);
+        assert_eq!(parse_batch(c.as_bytes(), PageMode::Variable).unwrap().len(), 4);
+    }
+
+    #[test]
+    fn large_batches_keep_little_spare_capacity() {
+        let mut b = WriteBatch::new(PageMode::Variable);
+        let payload = [5u8; 4000];
+        for lpid in 0..1000 {
+            b.put(lpid, &payload).unwrap();
+            let (len, cap) = (b.wire_len(), b.buf.capacity());
+            assert!(cap >= len);
+            if len > DOUBLING_LIMIT {
+                assert!(cap * 2 <= len * 3, "capacity {cap} for {len} bytes");
+            }
+        }
+        let mut merged = WriteBatch::with_capacity(PageMode::Variable, b.wire_len());
+        merged.append_batch(&b).unwrap();
+        assert_eq!(merged.buf.capacity(), b.wire_len());
     }
 
     #[test]

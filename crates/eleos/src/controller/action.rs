@@ -219,9 +219,9 @@ impl Eleos {
         })?;
 
         // One batched submission, programmed in input order without moving
-        // the CPU, so WBLOCKs on distinct channels overlap. The plan's
-        // buffers are refcount clones of the batch transport's, no byte
-        // copies.
+        // the CPU, so WBLOCKs on distinct channels overlap. A user plan's
+        // full WBLOCKs are refcount views of the host's batch buffer, no
+        // byte copies.
         let mut programmed = 0;
         for r in self.dev.program_batch(&plan.ios) {
             match r {

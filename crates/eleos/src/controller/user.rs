@@ -187,14 +187,15 @@ impl Eleos {
     }
 
     /// Intake and plan of a user write, shared by the direct and the
-    /// prepared write: check the batch, copy it into controller memory,
-    /// charge the host submission and transport, run GC if it is due, and
-    /// provision the pages. Returns them with their plan and the
-    /// statistics their commit counts. The copy is the transport DMA of
-    /// the host buffer — every page view, WBLOCK program and stored buffer
-    /// downstream slices it. Every LPID is checked against the mapping's
-    /// range before anything is charged or logged, so a rejected batch
-    /// changes nothing.
+    /// prepared write: check the batch, adopt its buffer, charge the host
+    /// submission and transport, run GC if it is due, and provision the
+    /// pages. Returns them with their plan and the statistics their commit
+    /// counts. The transport DMA is charged in simulated time but copies
+    /// nothing: the controller takes a refcounted view of the host's
+    /// buffer ([`WriteBatch::shared`]), and every page view, WBLOCK program
+    /// and stored WBLOCK downstream slices it. Every LPID is checked
+    /// against the mapping's range before anything is charged or logged,
+    /// so a rejected batch changes nothing.
     fn plan_user_write(
         &mut self,
         batch: &WriteBatch,
@@ -205,7 +206,7 @@ impl Eleos {
         if batch.is_empty() {
             return Err(EleosError::EmptyBatch);
         }
-        let bytes = Bytes::copy_from_slice(batch.as_bytes());
+        let bytes = batch.shared();
         let entries = parse_batch(&bytes, self.cfg.page_mode)?;
         for e in &entries {
             if e.kind != PageKind::User {

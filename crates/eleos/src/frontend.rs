@@ -249,7 +249,10 @@ impl Frontend {
             self.policy.flush_cpu_ns
                 + self.policy.enqueue_cpu_ns * self.pending.len() as Nanos,
         )?;
-        let mut merged = WriteBatch::new(self.pending[0].batch.mode());
+        // Sized exactly: the controller adopts this buffer, so any spare
+        // capacity would stay pinned as long as its WBLOCKs live.
+        let mut merged =
+            WriteBatch::with_capacity(self.pending[0].batch.mode(), self.pending_bytes);
         for pb in &self.pending {
             merged.append_batch(&pb.batch)?;
         }

@@ -38,6 +38,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// The `(lpid, payload)` pages a batch was built from, in `put` order.
+type Pages = Vec<(u64, Vec<u8>)>;
+
 fn page_bytes(lpid: u64, seed: u8, len: u16) -> Vec<u8> {
     (0..len as usize)
         .map(|i| (lpid as u8) ^ seed ^ (i as u8).wrapping_mul(31))
@@ -355,6 +358,79 @@ proptest! {
         // And current reads still match the shadow model exactly.
         for (lpid, expect) in &shadow {
             prop_assert_eq!(&ssd.read(*lpid).unwrap(), expect, "lpid {}", lpid);
+        }
+    }
+
+    /// The controller adopts a written batch's buffer instead of copying
+    /// it, so a batch that keeps growing after `write` — and a clone that
+    /// shares its buffer — must copy before it changes: every page read
+    /// back after each generation's writes, and every current page before
+    /// and after a crash, still matches what was written.
+    #[test]
+    fn adopted_batch_buffers_copy_on_write(
+        gens in prop::collection::vec(
+            (
+                prop::collection::vec((0u64..24, any::<u8>(), 1u16..1200), 1..4),
+                prop::collection::vec((24u64..48, any::<u8>(), 1u16..1200), 1..4),
+            ),
+            2..8,
+        ),
+    ) {
+        let gc_cfg = EleosConfig {
+            gc: eleos::GcConfig {
+                free_watermark: 0.95,
+                free_target: 0.95,
+                ..eleos::GcConfig::default()
+            },
+            ..cfg()
+        };
+        let mut ssd = Eleos::format(dev(), gc_cfg.clone()).unwrap();
+        let mut shadow: HashMap<u64, Vec<u8>> = HashMap::new();
+        let mut held: Vec<(u64, Vec<u8>, bytes::Bytes)> = Vec::new();
+        let mut b = WriteBatch::new(PageMode::Variable);
+        let mut b_pages: Pages = Vec::new();
+        let mut clone: Option<(WriteBatch, Pages)> = None;
+        // Write a batch, model it, and hold a view of every page it wrote.
+        let mut write = |ssd: &mut Eleos, batch: &WriteBatch, pages: &Pages| {
+            ssd.write(batch, WriteOpts::default()).unwrap();
+            for (lpid, page) in pages {
+                shadow.insert(*lpid, page.clone());
+            }
+            for &(lpid, _) in pages {
+                let view = ssd.read(lpid).unwrap();
+                assert_eq!(view, shadow[&lpid], "lpid {lpid}");
+                held.push((lpid, shadow[&lpid].clone(), view));
+            }
+        };
+        for (b_new, c_new) in &gens {
+            for &(lpid, seed, len) in b_new {
+                let page = page_bytes(lpid, seed, len);
+                b.put(lpid, &page).unwrap();
+                b_pages.push((lpid, page));
+            }
+            write(&mut ssd, &b, &b_pages);
+            // The clone is taken once, while the device holds the buffer
+            // it shares with `b`, and then grows on its own.
+            let (c, c_pages) = clone.get_or_insert_with(|| (b.clone(), b_pages.clone()));
+            for &(lpid, seed, len) in c_new {
+                let page = page_bytes(lpid, seed, len);
+                c.put(lpid, &page).unwrap();
+                c_pages.push((lpid, page));
+            }
+            write(&mut ssd, c, c_pages);
+            ssd.maintenance().unwrap();
+        }
+        ssd.drain();
+        for (lpid, snap, view) in &held {
+            prop_assert_eq!(view, snap, "held view of lpid {} changed", lpid);
+        }
+        for (lpid, expect) in &shadow {
+            prop_assert_eq!(&ssd.read(*lpid).unwrap(), expect, "lpid {}", lpid);
+        }
+        let flash = ssd.crash();
+        let mut ssd = Eleos::recover(flash, gc_cfg).unwrap();
+        for (lpid, expect) in &shadow {
+            prop_assert_eq!(&ssd.read(*lpid).unwrap(), expect, "lpid {} after recovery", lpid);
         }
     }
 }

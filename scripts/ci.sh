@@ -90,7 +90,7 @@ echo "== chaos sweep (differential oracle, 200 seeds x 9 configurations) =="
 # One client drives the controller directly; several share it through the
 # group-commit front-end. Two or three shards make batches straddle shards
 # and commit through 2PC; --fail-p 0.02 raises the program-failure rate.
-# Seeds still diverge on known, open defects (ROADMAP.md item 8): the
+# Seeds still diverge on known, open defects (ROADMAP.md item 20): the
 # step fails when any configuration's divergent seeds differ from
 # crates/bench/tests/data/chaos_divergent_seeds.txt, in either direction.
 scripts/chaos_sweep.sh
