@@ -130,15 +130,14 @@ pub fn ablation_hot_cold() -> Table {
         "Ablation — GC hot/cold separation, bimodal workload (95% of writes to 5% of pages)",
         &["separation", "write amp", "GC moved", "wear CV"],
     );
-    for (name, separation, bins) in [
-        ("on (3 age bins, paper)", true, 3usize),
-        ("on (1 bin: GC separate, no age binning)", true, 1),
-        ("off (GC mixes into user writes)", false, 1),
+    for (name, bins) in [
+        ("on (3 age bins, paper)", 3),
+        ("on (1 bin: GC separate, no age binning)", 1),
+        ("off (GC mixes into user writes)", 0),
     ] {
         let cfg = EleosConfig {
             gc: GcConfig {
                 open_bins: bins,
-                hot_cold_separation: separation,
                 ..GcConfig::default()
             },
             ..base_cfg()

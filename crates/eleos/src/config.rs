@@ -80,12 +80,11 @@ pub struct GcConfig {
     pub free_watermark: f64,
     /// Fraction of free EBLOCKs GC tries to restore per run.
     pub free_target: f64,
-    /// Number of open EBLOCKs dedicated to GC writes, used for age-binned
-    /// cold/hot separation (Section VI-B).
+    /// Number of open EBLOCKs per channel dedicated to GC writes, used for
+    /// age-binned cold/hot separation (Section VI-B). With 0, GC writes
+    /// share the user open EBLOCK: the paper always separates them, so 0 is
+    /// an ablation.
     pub open_bins: usize,
-    /// Enable the cold/hot separation of GC writes from user writes. Always
-    /// on in the paper; off is an ablation.
-    pub hot_cold_separation: bool,
     /// Candidate window for [`GcPolicy::WindowedGreedy`]: greedy selection
     /// considers only this many oldest closed EBLOCKs per channel. Too
     /// narrow a window is dangerous, not just slow: under sequential fill
@@ -103,7 +102,6 @@ impl Default for GcConfig {
             free_watermark: 0.10,
             free_target: 0.15,
             open_bins: 3,
-            hot_cold_separation: true,
             greedy_window: 8,
         }
     }

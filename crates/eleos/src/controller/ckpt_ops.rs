@@ -78,11 +78,9 @@ impl Eleos {
             if let Some(l) = this.summary.min_rec_lsn() {
                 trunc = trunc.min(l);
             }
-            for ch in &this.chans {
-                for ob in ch.user_open.iter().chain(ch.gc_open.iter().flatten()) {
-                    if let Some(l) = ob.first_lsn {
-                        trunc = trunc.min(l);
-                    }
+            for ob in this.chans.iter().flat_map(|ch| ch.cursors()) {
+                if let Some(l) = ob.first_lsn {
+                    trunc = trunc.min(l);
                 }
             }
 
@@ -269,28 +267,9 @@ impl Eleos {
             return Ok(());
         }
         for ch in 0..self.chans.len() {
-            let stale_user = self.chans[ch]
-                .user_open
-                .as_ref()
-                .is_some_and(|ob| ob.first_lsn.is_some_and(|l| l < before_lsn));
-            if stale_user {
-                let ob = self.chans[ch].user_open.take().unwrap();
-                self.force_close_now(ob, Dest::User)?;
-            }
-            for bin in 0..self.chans[ch].gc_open.len() {
-                let stale = self.chans[ch].gc_open[bin]
-                    .as_ref()
-                    .is_some_and(|ob| ob.first_lsn.is_some_and(|l| l < before_lsn));
-                if stale {
-                    let ob = self.chans[ch].gc_open[bin].take().unwrap();
-                    let victim_ts = ob.bin_ts.unwrap_or(self.usn);
-                    self.force_close_now(
-                        ob,
-                        Dest::GcBin {
-                            victim_channel: ch as u32,
-                            victim_ts,
-                        },
-                    )?;
+            for slot in 0..self.chans[ch].slots() {
+                if let Some((ob, dest)) = self.chans[ch].take_stale(slot, before_lsn) {
+                    self.force_close_now(ob, dest)?;
                 }
             }
         }

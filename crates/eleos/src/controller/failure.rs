@@ -4,7 +4,6 @@
 //! share, and the retirement policy it feeds.
 
 use super::action::{CloseEvent, Dest, Plan};
-use super::provision::OpenEblock;
 use super::Eleos;
 use crate::error::{EleosError, Result};
 use crate::summary::{EblockPurpose, EblockState};
@@ -98,16 +97,8 @@ impl Eleos {
         Ok(())
     }
 
-    /// The open-cursor slot (user or GC bin) holding `eb`, if any.
-    fn cursor_slot(&mut self, eb: EblockAddr) -> Option<&mut Option<OpenEblock>> {
-        let ch = &mut self.chans[eb.channel as usize];
-        std::iter::once(&mut ch.user_open)
-            .chain(ch.gc_open.iter_mut())
-            .find(|slot| slot.as_ref().is_some_and(|ob| ob.addr == eb))
-    }
-
     fn rollback_cursor_frontier(&mut self, eb: EblockAddr, dev_frontier: u64) {
-        if let Some(Some(ob)) = self.cursor_slot(eb) {
+        if let Some(Some(ob)) = self.chans[eb.channel as usize].slot_of(eb) {
             ob.frontier = dev_frontier;
         }
     }
@@ -213,7 +204,8 @@ impl Eleos {
     /// Remove and return the in-memory metadata of the open cursor for
     /// `eb`, if any (otherwise the EBLOCK's metadata must be on flash).
     fn detach_cursor_meta(&mut self, eb: EblockAddr) -> Vec<(PageKind, Lpid)> {
-        self.cursor_slot(eb)
+        self.chans[eb.channel as usize]
+            .slot_of(eb)
             .and_then(Option::take)
             .map_or_else(Vec::new, |ob| ob.meta)
     }

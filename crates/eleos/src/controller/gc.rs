@@ -724,9 +724,8 @@ mod tests {
         ssd.delete_batch(&(12..24).collect::<Vec<_>>()).unwrap();
 
         let eb = ssd.lpid_location(0).unwrap().unwrap().eblock_addr();
-        let open = ssd.chans[0].user_open.as_ref().unwrap();
-        assert_eq!(open.addr, eb, "the batch's EBLOCK is still open");
-        let meta = open.meta.clone();
+        let open = ssd.chans[0].cursors().find(|ob| ob.addr == eb);
+        let meta = open.expect("the batch's EBLOCK is still open").meta.clone();
 
         let reads0 = ssd.dev.stats().rblock_reads;
         let valid = ssd.scan_valid_pages(eb, &meta).unwrap();
@@ -846,9 +845,13 @@ mod tests {
                 new.channel, old.channel,
                 "lpid {lpid} stays on its victim's channel"
             );
-            let bins = &ssd.chans[new.channel as usize].gc_open;
+            // No user write lands in a GC bin: its user pages all moved.
+            let relocated = |&(kind, l): &(PageKind, Lpid)| {
+                kind != PageKind::User || moved.iter().any(|m| m.0 == l)
+            };
+            let mut open = ssd.chans[new.channel as usize].cursors();
             assert!(
-                bins.iter().flatten().any(|ob| ob.addr == new.eblock_addr()),
+                open.any(|ob| ob.addr == new.eblock_addr() && ob.meta.iter().all(relocated)),
                 "lpid {lpid} lands in a GC bin"
             );
             assert_eq!(
@@ -971,6 +974,48 @@ mod tests {
         }
     }
 
+    /// With no GC bin (`open_bins: 0`, the hot/cold ablation's "off" row),
+    /// a pass relocates into the user stream's open EBLOCK, which the next
+    /// user write continues, and every page reads back before and after a
+    /// crash.
+    #[test]
+    fn with_no_gc_bin_a_pass_relocates_into_the_user_eblock() {
+        let mut ssd = one_channel(GcConfig {
+            open_bins: 0,
+            ..GcConfig::default()
+        });
+        let keep = |l: Lpid| l.is_multiple_of(25);
+        let pages = churned(&mut ssd, 1000, keep);
+        gc_pass(&mut ssd, 1);
+        assert!(!moved_from(&mut ssd, &pages).is_empty());
+        let mut dests = Vec::new();
+        for (lpid, old, _) in &pages {
+            let new = ssd.lpid_location(*lpid).unwrap().unwrap();
+            if new != *old {
+                dests.push(new.eblock_addr());
+            }
+        }
+        let mut batch = WriteBatch::new(PageMode::Variable);
+        batch.put(2000, &payload(2000, 1000)).unwrap();
+        ssd.write(&batch, WriteOpts::default()).unwrap();
+        let user = ssd.lpid_location(2000).unwrap().unwrap().eblock_addr();
+        assert!(dests.contains(&user), "{user:?} not among {dests:?}");
+
+        let expect = |l: Lpid| match l {
+            2000 => payload(l, 1000),
+            l if keep(l) => payload(l, 1000),
+            l => payload(l + 7, 1000),
+        };
+        let cfg = ssd.cfg.clone();
+        for round in ["before", "after"] {
+            for lpid in (0..1000).chain([2000]) {
+                let got = ssd.read(lpid).unwrap();
+                assert_eq!(got, expect(lpid), "lpid {lpid} {round} the crash");
+            }
+            ssd = Eleos::recover(ssd.crash(), cfg.clone()).unwrap();
+        }
+    }
+
     /// A GC bin that fills mid-pass is closed — `Used` — before any of its
     /// WBLOCKs is programmed, and it carries the age of the oldest victim
     /// in it. Oldest-first selection would pick it next; the pass must
@@ -1013,11 +1058,7 @@ mod tests {
             "the bin was not erased"
         );
         assert!(
-            ssd.chans[0]
-                .gc_open
-                .iter()
-                .flatten()
-                .all(|ob| ob.addr != bin),
+            ssd.chans[0].cursors().all(|ob| ob.addr != bin),
             "a later bin is open"
         );
     }

@@ -2,9 +2,10 @@
 //! open-EBLOCK cursors, EBLOCK allocation, and the packing of a system
 //! action's pages into WBLOCK programs.
 //!
-//! Each channel keeps a free-EBLOCK list and open-EBLOCK cursors: one for
-//! user writes and several age-binned ones for GC writes (Fig. 3; log
-//! writes are provisioned by the log writer). Provisioning is performed at
+//! Each channel keeps a free-EBLOCK list and an open set of EBLOCK
+//! cursors, laid out only here: one slot for user writes and
+//! `GcConfig::open_bins` age-binned ones for GC writes (Fig. 3; log writes
+//! are provisioned by the log writer). Provisioning is performed at
 //! WBLOCK granularity: every batch chunk starts at a fresh WBLOCK (the
 //! previously-programmed tail cannot be appended to), and LPAGEs pack
 //! byte-contiguously across WBLOCK boundaries within the chunk.
@@ -46,8 +47,8 @@ pub(super) struct OpenEblock {
     /// LSN of the first write record into this EBLOCK since it was opened —
     /// truncation factor (3) of Section VIII-B.
     pub(super) first_lsn: Option<Lsn>,
-    /// For GC destinations: the age bin this EBLOCK approximates
-    /// (Section VI-B).
+    /// For GC destinations: the age bin this EBLOCK approximates (Section
+    /// VI-B), re-stamped with the age of each victim a GC bin receives.
     pub(super) bin_ts: Option<Usn>,
 }
 
@@ -197,10 +198,11 @@ pub(super) fn decode_eblock_meta(pages: &[&[u8]], geo: &Geometry) -> Option<Eblo
 pub(super) struct ChannelState {
     /// Erased EBLOCKs ready for use (FIFO for a little wear smoothing).
     pub(super) free: VecDeque<u32>,
-    /// Open EBLOCK receiving user (and checkpoint) writes.
-    pub(super) user_open: Option<OpenEblock>,
-    /// Age-binned open EBLOCKs receiving GC writes (Section VI-B).
-    pub(super) gc_open: Vec<Option<OpenEblock>>,
+    /// The open set: slot 0 receives user (and checkpoint) writes, slots
+    /// `1..=open_bins` are the age-binned GC bins (Section VI-B). With no
+    /// GC bin, relocations share slot 0 and cold data mixes back in with
+    /// hot, which Section VI-B argues against (an ablation).
+    open: Vec<Option<OpenEblock>>,
     /// `Used+Log` EBLOCKs on this channel ordered by `max_lsn`, so the GC
     /// truncation probe pops the lowest-LSN candidate instead of rescanning
     /// every EBLOCK. Entries are validated lazily against the summary on
@@ -209,32 +211,69 @@ pub(super) struct ChannelState {
 }
 
 impl ChannelState {
-    pub(super) fn new(gc_bins: usize) -> Self {
+    pub(super) fn new(open_bins: usize) -> Self {
         ChannelState {
             free: VecDeque::new(),
-            user_open: None,
-            gc_open: vec![None; gc_bins],
+            open: vec![None; 1 + open_bins],
             log_reclaim: BTreeSet::new(),
         }
     }
 
-    /// Pick the GC bin whose timestamp is closest to `victim_ts`
-    /// (Section VI-B), preferring an empty bin when none is close.
-    pub(super) fn closest_gc_bin(&self, victim_ts: Usn) -> usize {
-        let mut best: Option<(usize, u64)> = None;
-        for (i, slot) in self.gc_open.iter().enumerate() {
-            match slot {
-                Some(ob) => {
-                    let ts = ob.bin_ts.unwrap_or(0);
-                    let d = ts.abs_diff(victim_ts);
-                    if best.is_none_or(|(_, bd)| d < bd) {
-                        best = Some((i, d));
-                    }
-                }
-                None => return i, // an empty bin adopts the victim's age
-            }
+    /// The slot a write to `dest` provisions from. A GC write takes the
+    /// first empty bin (it adopts the victim's age), else the bin whose
+    /// age is closest to the victim's (Section VI-B).
+    fn slot(&self, dest: Dest) -> usize {
+        let Dest::GcBin { victim_ts, .. } = dest else {
+            return 0;
+        };
+        let bins = self.open.iter().enumerate().skip(1);
+        if let Some((i, _)) = bins.clone().find(|(_, ob)| ob.is_none()) {
+            return i;
         }
-        best.map(|(i, _)| i).unwrap_or(0)
+        bins.flat_map(|(i, ob)| Some((i, ob.as_ref()?.bin_ts.unwrap_or(0))))
+            .min_by_key(|&(_, ts)| ts.abs_diff(victim_ts))
+            .map_or(0, |(i, _)| i)
+    }
+
+    /// Return a cursor to the slot it was taken from; a GC bin takes the
+    /// age of the victim it last received.
+    fn put(&mut self, dest: Dest, mut ob: OpenEblock) {
+        let slot = self.slot(dest);
+        if let (Dest::GcBin { victim_ts, .. }, 1..) = (dest, slot) {
+            ob.bin_ts = Some(victim_ts);
+        }
+        self.open[slot] = Some(ob);
+    }
+
+    /// Every open cursor on this channel.
+    pub(super) fn cursors(&self) -> impl Iterator<Item = &OpenEblock> {
+        self.open.iter().flatten()
+    }
+
+    /// The slot whose cursor holds `eb`, if any.
+    pub(super) fn slot_of(&mut self, eb: EblockAddr) -> Option<&mut Option<OpenEblock>> {
+        self.open
+            .iter_mut()
+            .find(|slot| slot.as_ref().is_some_and(|ob| ob.addr == eb))
+    }
+
+    /// Number of slots in the open set.
+    pub(super) fn slots(&self) -> usize {
+        self.open.len()
+    }
+
+    /// Detach slot `slot`'s cursor if its first logged write predates
+    /// `before`, with the destination its close is stamped for.
+    pub(super) fn take_stale(&mut self, slot: usize, before: Lsn) -> Option<(OpenEblock, Dest)> {
+        let ob = self.open[slot].take_if(|ob| ob.first_lsn.is_some_and(|l| l < before))?;
+        let dest = match (slot, ob.bin_ts) {
+            (1.., Some(victim_ts)) => Dest::GcBin {
+                victim_channel: ob.addr.channel,
+                victim_ts,
+            },
+            _ => Dest::User,
+        };
+        Some((ob, dest))
     }
 }
 
@@ -353,7 +392,7 @@ impl Eleos {
             .copied()
             .filter(|&c| {
                 let ch = &self.chans[c as usize];
-                !ch.free.is_empty() || ch.user_open.is_some()
+                !ch.free.is_empty() || ch.open[0].is_some()
             })
             .collect();
         let order = if usable.is_empty() { order } else { usable };
@@ -414,7 +453,7 @@ impl Eleos {
             if cur == start {
                 if ob.frontier == 0 {
                     // A single page larger than an entire EBLOCK.
-                    self.put_cursor(channel, dest, ob);
+                    self.chans[channel as usize].put(dest, ob);
                     return Err(EleosError::PageTooLarge {
                         len: pages[i].bytes.len(),
                         max: geo.eblock_bytes() as usize,
@@ -442,7 +481,7 @@ impl Eleos {
             if !ob.can_accept(64, 1, &geo) {
                 self.close_cursor(ob, dest, plan);
             } else {
-                self.put_cursor(channel, dest, ob);
+                self.chans[channel as usize].put(dest, ob);
             }
         }
         Ok(())
@@ -453,20 +492,9 @@ impl Eleos {
     // ------------------------------------------------------------------
 
     fn take_cursor(&mut self, channel: u32, dest: Dest) -> Result<OpenEblock> {
-        let slot = match dest {
-            Dest::User => &mut self.chans[channel as usize].user_open,
-            // With hot/cold separation disabled (ablation), GC relocations
-            // share the user open EBLOCK — cold data mixes back in with
-            // hot, exactly what Section VI-B argues against.
-            Dest::GcBin { .. } if !self.cfg.gc.hot_cold_separation => {
-                &mut self.chans[channel as usize].user_open
-            }
-            Dest::GcBin { victim_ts, .. } => {
-                let bin = self.chans[channel as usize].closest_gc_bin(victim_ts);
-                &mut self.chans[channel as usize].gc_open[bin]
-            }
-        };
-        if let Some(ob) = slot.take() {
+        let ch = &mut self.chans[channel as usize];
+        let slot = ch.slot(dest);
+        if let Some(ob) = ch.open[slot].take() {
             return Ok(ob);
         }
         let addr = self.alloc_eblock(channel)?;
@@ -475,20 +503,6 @@ impl Eleos {
             ob.bin_ts = Some(victim_ts);
         }
         Ok(ob)
-    }
-
-    fn put_cursor(&mut self, channel: u32, dest: Dest, mut ob: OpenEblock) {
-        match dest {
-            Dest::User => self.chans[channel as usize].user_open = Some(ob),
-            Dest::GcBin { .. } if !self.cfg.gc.hot_cold_separation => {
-                self.chans[channel as usize].user_open = Some(ob);
-            }
-            Dest::GcBin { victim_ts, .. } => {
-                ob.bin_ts = Some(victim_ts);
-                let bin = self.chans[channel as usize].closest_gc_bin(victim_ts);
-                self.chans[channel as usize].gc_open[bin] = Some(ob);
-            }
-        }
     }
 
     /// Close an open EBLOCK: plan its metadata flush, update its descriptor
@@ -662,22 +676,35 @@ mod tests {
 
     #[test]
     fn gc_bin_selection() {
+        let gc = |victim_ts| Dest::GcBin {
+            victim_channel: 0,
+            victim_ts,
+        };
+        let bin = |eb, ts| OpenEblock {
+            bin_ts: Some(ts),
+            ..OpenEblock::new(EblockAddr::new(0, eb))
+        };
+        // No GC bin: relocations share the user slot.
+        assert_eq!(ChannelState::new(0).slot(gc(100)), 0);
         let mut ch = ChannelState::new(3);
+        assert_eq!(ch.slot(Dest::User), 0);
         // All empty: first bin.
-        assert_eq!(ch.closest_gc_bin(100), 0);
-        let mut ob0 = OpenEblock::new(EblockAddr::new(0, 4));
-        ob0.bin_ts = Some(100);
-        ch.gc_open[0] = Some(ob0);
+        assert_eq!(ch.slot(gc(100)), 1);
+        ch.open[1] = Some(bin(4, 100));
         // Next empty bin wins over distance computation.
-        assert_eq!(ch.closest_gc_bin(5000), 1);
-        let mut ob1 = OpenEblock::new(EblockAddr::new(0, 5));
-        ob1.bin_ts = Some(5000);
-        ch.gc_open[1] = Some(ob1);
-        let mut ob2 = OpenEblock::new(EblockAddr::new(0, 6));
-        ob2.bin_ts = Some(90);
-        ch.gc_open[2] = Some(ob2);
+        assert_eq!(ch.slot(gc(5000)), 2);
+        ch.open[2] = Some(bin(5, 5000));
+        ch.open[3] = Some(bin(6, 90));
         // Full bins: closest timestamp.
-        assert_eq!(ch.closest_gc_bin(94), 2);
-        assert_eq!(ch.closest_gc_bin(4000), 1);
+        assert_eq!(ch.slot(gc(94)), 3);
+        assert_eq!(ch.slot(gc(4000)), 2);
+        assert_eq!(ch.slot(gc(150)), 1);
+        // A put re-ages the bin to its latest victim, and the next choice
+        // follows the new age.
+        assert_eq!(ch.slot(gc(2000)), 1);
+        let ob = ch.open[1].take().unwrap();
+        ch.put(gc(2000), ob);
+        assert_eq!(ch.open[1].as_ref().unwrap().bin_ts, Some(2000));
+        assert_eq!(ch.slot(gc(150)), 3);
     }
 }

@@ -649,10 +649,9 @@ impl Eleos {
         // Deferred completion: prefetch every metadata probe in one
         // channel-major batch before the fixup loop, so probes on distinct
         // channels overlap instead of each blocking the CPU. The loop
-        // consumes the prefetched bytes; EBLOCKs that *become* probe
-        // candidates mid-loop (e.g. allocated by a migrate) fall back to
-        // the blocking read. Skipped on one channel, where no overlap is
-        // possible.
+        // consumes the prefetched bytes. Skipped on one channel, where no
+        // overlap is possible and the loop's blocking read serves every
+        // probe.
         let mut prefetched: HashMap<EblockAddr, bytes::Bytes> = HashMap::new();
         if geo.channels > 1 {
             let wb = geo.wblock_bytes as u64;
@@ -696,6 +695,13 @@ impl Eleos {
                     || d.purpose == EblockPurpose::CkptArea
                     || log_ebs.contains(&eb)
                 {
+                    continue;
+                }
+                if self.chans[ch as usize].slot_of(eb).is_some() {
+                    // Opened by this loop (a failed force-close migrates
+                    // into a GC bin): its pages are logged, and closing it
+                    // here would book them as garbage under a cursor that
+                    // still writes into it.
                     continue;
                 }
                 if d.purpose == EblockPurpose::Log {

@@ -7,9 +7,10 @@
 # sharded), mapping-cache equivalence, the GC-pass gates (deferred
 # completion, fault and power-cut sweeps over a multi-round pass, GC reads
 # and relocation actions, the simulation fingerprint — which also pins a
-# 2-shard group-commit script), the GC policy lab
-# smoke, the host front-end gates (group commit vs serial, refinement
-# proptest), the sharded-router gates (1-shard identity, monotonic shard
+# 2-shard group-commit script), the GC policy lab smoke, the
+# EXPERIMENTS.md reproduction (repro_all regenerates the committed file
+# byte for byte), the host front-end gates (group commit vs serial,
+# refinement proptest), the sharded-router gates (1-shard identity, monotonic shard
 # scaling, sharded refinement proptest, sharded telemetry), the chaos
 # sweep (one soak checked by a per-client model, 200 seeds in each of nine
 # configurations, divergent seeds held to a committed list), the
@@ -76,6 +77,16 @@ echo "== GC policy lab smoke (bounded grid, measurement plumbing) =="
 # cross product at toy scale. The committed full grid lives in
 # EXPERIMENTS.md (repro_all).
 cargo test -q --release -p eleos-bench --lib gc_lab
+
+echo "== EXPERIMENTS.md reproduction (repro_all, byte for byte) =="
+# Every table is simulated and deterministic: a change that keeps the
+# design must regenerate the committed file exactly, and a design change
+# commits the regenerated file with it. About 30 s on 2 vCPUs.
+cargo build -q --release -p eleos-bench --bin repro_all
+exp_dir=$(mktemp -d)
+trap 'rm -rf "$exp_dir"' EXIT
+"${CARGO_TARGET_DIR:-target}/release/repro_all" "$exp_dir/EXPERIMENTS.md" >/dev/null
+diff EXPERIMENTS.md "$exp_dir/EXPERIMENTS.md"
 
 echo "== front-end gate (group commit vs serial, refinement proptest) =="
 cargo test -q --release -p eleos-bench frontend
