@@ -4,12 +4,12 @@
 //!   oldest-first (LLAMA) — write amplification and GC traffic under a
 //!   skewed overwrite workload;
 //! * hot/cold separation of GC writes on vs off;
+//! * checkpoint cadence vs recovery time;
+//! * ordered-write pipelining;
 //! * log forward-pointer count resilience (1 vs 3 candidates under injected
-//!   program failures);
-//! * wear spread across EBLOCKs.
+//!   program failures).
 
 use crate::report::{fmt_bytes, fmt_rate, Table};
-use eleos_bwtree::{BwTree, BwTreeConfig, EleosStore, PageStore, UpdateMode};
 use eleos::{Eleos, EleosConfig, GcConfig, GcPolicy, PageMode, WriteBatch, WriteOpts};
 use eleos_flash::{CostProfile, FlashDevice, Geometry};
 use eleos_workloads::Zipfian;
@@ -35,6 +35,29 @@ struct ChurnOutcome {
     wear_cv: f64,
 }
 
+impl ChurnOutcome {
+    /// Drain `ssd` and read the outcome of a churn that started at `t0`.
+    fn measure(ssd: &mut Eleos, t0: u64) -> ChurnOutcome {
+        ssd.drain();
+        let wear = ssd.device().wear_map();
+        let mean = wear.iter().map(|&w| w as f64).sum::<f64>() / wear.len() as f64;
+        let var = wear
+            .iter()
+            .map(|&w| (w as f64 - mean).powi(2))
+            .sum::<f64>()
+            / wear.len() as f64;
+        let snap = ssd.snapshot().eleos;
+        ChurnOutcome {
+            flash_bytes: ssd.device().stats().bytes_programmed,
+            payload_bytes: snap.payload_bytes,
+            gc_moved_bytes: snap.gc_moved_bytes,
+            gc_erases: snap.gc_erases,
+            sim_ns: ssd.now() - t0,
+            wear_cv: if mean > 0.0 { var.sqrt() / mean } else { 0.0 },
+        }
+    }
+}
+
 /// Skewed overwrite churn against one ELEOS configuration. Returns `None`
 /// if the configuration runs out of space before finishing — itself an
 /// ablation result (a selection policy that cannot keep up).
@@ -57,23 +80,7 @@ fn churn(cfg: EleosConfig, rounds: u64, seed: u64) -> Option<ChurnOutcome> {
             Err(e) => panic!("churn: {e}"),
         }
     }
-    ssd.drain();
-    let wear = ssd.device().wear_map();
-    let mean = wear.iter().map(|&w| w as f64).sum::<f64>() / wear.len() as f64;
-    let var = wear
-        .iter()
-        .map(|&w| (w as f64 - mean).powi(2))
-        .sum::<f64>()
-        / wear.len() as f64;
-    let wear_cv = if mean > 0.0 { var.sqrt() / mean } else { 0.0 };
-    Some(ChurnOutcome {
-        flash_bytes: ssd.device().stats().bytes_programmed,
-        payload_bytes: ssd.snapshot().eleos.payload_bytes,
-        gc_moved_bytes: ssd.snapshot().eleos.gc_moved_bytes,
-        gc_erases: ssd.snapshot().eleos.gc_erases,
-        sim_ns: ssd.now() - t0,
-        wear_cv,
-    })
+    Some(ChurnOutcome::measure(&mut ssd, t0))
 }
 
 fn base_cfg() -> EleosConfig {
@@ -196,23 +203,7 @@ fn churn_bimodal(cfg: EleosConfig, rounds: u64, seed: u64) -> Option<ChurnOutcom
             Err(e) => panic!("bimodal churn: {e}"),
         }
     }
-    ssd.drain();
-    let wear = ssd.device().wear_map();
-    let mean = wear.iter().map(|&w| w as f64).sum::<f64>() / wear.len() as f64;
-    let var = wear
-        .iter()
-        .map(|&w| (w as f64 - mean).powi(2))
-        .sum::<f64>()
-        / wear.len() as f64;
-    let wear_cv = if mean > 0.0 { var.sqrt() / mean } else { 0.0 };
-    Some(ChurnOutcome {
-        flash_bytes: ssd.device().stats().bytes_programmed,
-        payload_bytes: ssd.snapshot().eleos.payload_bytes,
-        gc_moved_bytes: ssd.snapshot().eleos.gc_moved_bytes,
-        gc_erases: ssd.snapshot().eleos.gc_erases,
-        sim_ns: ssd.now() - t0,
-        wear_cv,
-    })
+    Some(ChurnOutcome::measure(&mut ssd, t0))
 }
 
 /// Checkpoint interval vs recovery time (Section VIII-B: checkpointing
@@ -262,65 +253,6 @@ pub fn ablation_recovery_time() -> Table {
     t
 }
 
-/// Bw-tree update discipline (Section IX-A3): the paper modified the
-/// original delta-chain Bw-tree to update in place for its single-threaded
-/// evaluation. This compares the two under the YCSB update mix.
-pub fn ablation_bwtree_update_mode() -> Table {
-    use eleos_workloads::{YcsbConfig, YcsbOp, YcsbWorkload};
-    let mut t = Table::new(
-        "Ablation — Bw-tree updates: in-place (paper) vs delta chains (original)",
-        &["mode", "ops/s", "consolidations", "flash written"],
-    );
-    for (name, mode) in [
-        ("in-place (paper's modification)", UpdateMode::InPlace),
-        ("delta chains, consolidate at 8", UpdateMode::DeltaChain { max_deltas: 8 }),
-    ] {
-        let dev = FlashDevice::new(geo(), CostProfile::weak_controller());
-        let ssd = Eleos::format(
-            dev,
-            EleosConfig {
-                max_user_lpid: 1 << 15,
-                ckpt_log_bytes: 16 << 20,
-                mapping_cache_pages: 1 << 14,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let mut tree = BwTree::new(
-            EleosStore::new(ssd),
-            BwTreeConfig {
-                cache_pages: 220,
-                update_mode: mode,
-                ..Default::default()
-            },
-        );
-        let mut w = YcsbWorkload::new(YcsbConfig::write_heavy(50_000, 3));
-        for k in 0..50_000u64 {
-            let v = w.value(k);
-            tree.upsert(k, v).unwrap();
-        }
-        tree.flush_all().unwrap();
-        let bytes0 = tree.store().flash_stats().bytes_programmed;
-        let t0 = tree.now();
-        for _ in 0..40_000 {
-            match w.next_op() {
-                YcsbOp::Read(k) => {
-                    tree.get(k).unwrap();
-                }
-                YcsbOp::Update(k, v) => tree.upsert(k, v).unwrap(),
-            }
-        }
-        let secs = (tree.now() - t0) as f64 / 1e9;
-        t.row(vec![
-            name.to_string(),
-            fmt_rate(40_000.0 / secs),
-            tree.stats().consolidations.to_string(),
-            fmt_bytes(tree.store().flash_stats().bytes_programmed - bytes0),
-        ]);
-    }
-    t
-}
-
 /// Ordered-write pipelining (Section III-A2): "Waiting for an ACK wastes
 /// parallelism and reduces write throughput/bandwidth." Same session
 /// workload, host blocking on each ACK vs pipelining WSNs.
@@ -362,31 +294,6 @@ pub fn ablation_pipelining() -> Table {
         format!("{pipe:.1}"),
         format!("{:.2}x", pipe / sync),
     ]);
-    t
-}
-
-/// Wear-aware allocation ablation (extension beyond the paper): wear
-/// spread (coefficient of variation of per-EBLOCK erase counts) with FIFO
-/// vs least-worn free-block selection.
-pub fn ablation_wear_leveling() -> Table {
-    let mut t = Table::new(
-        "Ablation — wear-aware free-block allocation (extension)",
-        &["allocation", "wear CV", "write amp"],
-    );
-    for (name, wear_aware) in [("FIFO (paper-faithful)", false), ("least-worn first", true)] {
-        let cfg = EleosConfig {
-            wear_aware_alloc: wear_aware,
-            ..base_cfg()
-        };
-        match churn(cfg, 700, 5) {
-            Some(o) => t.row(vec![
-                name.to_string(),
-                format!("{:.2}", o.wear_cv),
-                format!("{:.2}", o.flash_bytes as f64 / o.payload_bytes as f64),
-            ]),
-            None => t.row(vec![name.to_string(), "—".into(), "ran out of space".into()]),
-        }
-    }
     t
 }
 

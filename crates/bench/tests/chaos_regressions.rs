@@ -109,6 +109,16 @@ fn seed_189_high_fail_p_committed_group_reported_device_full() {
     check(ChaosConfig { seed: 189, fail_p: 0.02, shards: 2, cycles: 8, ..Default::default() });
 }
 
+/// Format's first log page had one candidate location, WBLOCK 0 of the
+/// head EBLOCK, so one program failure on its first seal shut the device
+/// down ("format failed: controller shut down after repeated log write
+/// failures"). Fixed by making the standbys added before the first seal
+/// candidates too (`wal::writer::add_standby`).
+#[test]
+fn seed_105_first_log_page_fails_at_format() {
+    check(ChaosConfig { seed: 105, cycles: 1, ..Default::default() });
+}
+
 /// The soak's own acceptance bar: default configuration, first ten
 /// seeds, zero divergences.
 #[test]

@@ -20,4 +20,4 @@ pub mod tree;
 
 pub use page::LeafPage;
 pub use store::{BlockStore, EleosStore, PageStore, StoreError};
-pub use tree::{BwStats, BwTree, BwTreeConfig, UpdateMode};
+pub use tree::{BwStats, BwTree, BwTreeConfig};

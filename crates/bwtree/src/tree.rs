@@ -12,20 +12,6 @@ use crate::page::LeafPage;
 use crate::store::{PageStore, Result, StoreError};
 use std::collections::{BTreeMap, HashMap};
 
-/// How updates are applied to cached leaf pages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UpdateMode {
-    /// The paper's evaluated variant (Section IX-A3): "we modified the
-    /// original Bw-tree to simply perform updates in place without
-    /// creating delta chains."
-    InPlace,
-    /// The original Bw-tree design: modifications prepend to a per-page
-    /// delta chain; when the chain exceeds `max_deltas` it is consolidated
-    /// into the base page. (Chains are also consolidated before a page is
-    /// flushed — this store writes whole pages.)
-    DeltaChain { max_deltas: usize },
-}
-
 /// Tree configuration.
 #[derive(Debug, Clone)]
 pub struct BwTreeConfig {
@@ -38,9 +24,6 @@ pub struct BwTreeConfig {
     pub write_buffer_bytes: usize,
     /// Host CPU cost per application operation.
     pub op_cost_ns: u64,
-    /// Update discipline (in-place by default, per the paper's
-    /// modification).
-    pub update_mode: UpdateMode,
 }
 
 impl Default for BwTreeConfig {
@@ -50,7 +33,6 @@ impl Default for BwTreeConfig {
             cache_pages: 1024,
             write_buffer_bytes: 1024 * 1024,
             op_cost_ns: 1_500,
-            update_mode: UpdateMode::InPlace,
         }
     }
 }
@@ -65,38 +47,13 @@ pub struct BwStats {
     pub pages_flushed: u64,
     pub flushes: u64,
     pub splits: u64,
-    /// Delta-chain consolidations (DeltaChain mode).
-    pub consolidations: u64,
 }
 
 #[derive(Debug)]
 struct Cached {
     page: LeafPage,
-    /// Pending delta records, newest last (DeltaChain mode only).
-    deltas: Vec<(u64, Vec<u8>)>,
     dirty: bool,
     tick: u64,
-}
-
-impl Cached {
-    fn effective_size(&self) -> usize {
-        self.page.size() + self.deltas.iter().map(|(_, v)| 12 + v.len()).sum::<usize>()
-    }
-
-    /// Apply the delta chain into the base page (compaction).
-    fn consolidate(&mut self) {
-        for (k, v) in std::mem::take(&mut self.deltas) {
-            self.page.upsert(k, v);
-        }
-    }
-
-    fn lookup(&self, key: u64) -> Option<&[u8]> {
-        // Newest delta wins.
-        if let Some((_, v)) = self.deltas.iter().rev().find(|(k, _)| *k == key) {
-            return Some(v.as_slice());
-        }
-        self.page.get(key)
-    }
 }
 
 /// The key-value store over a pluggable [`PageStore`].
@@ -126,7 +83,6 @@ impl<S: PageStore> BwTree<S> {
             0,
             Cached {
                 page: LeafPage::new(),
-                deltas: Vec::new(),
                 dirty: true,
                 tick: 0,
             },
@@ -206,7 +162,6 @@ impl<S: PageStore> BwTree<S> {
             pid,
             Cached {
                 page,
-                deltas: Vec::new(),
                 dirty: false,
                 tick: self.tick,
             },
@@ -226,9 +181,8 @@ impl<S: PageStore> BwTree<S> {
                 .min_by_key(|(&pid, c)| (c.tick, pid))
                 .map(|(&pid, _)| pid)
                 .expect("cache not empty");
-            let mut c = self.cache.remove(&victim).unwrap();
+            let c = self.cache.remove(&victim).unwrap();
             if c.dirty {
-                c.consolidate(); // whole pages are flushed
                 self.stage(victim, c.page.encode())?;
             }
         }
@@ -276,7 +230,7 @@ impl<S: PageStore> BwTree<S> {
         self.stats.gets += 1;
         let pid = self.locate(key);
         self.load(pid)?;
-        Ok(self.cache[&pid].lookup(key).map(|v| v.to_vec()))
+        Ok(self.cache[&pid].page.get(key).map(|v| v.to_vec()))
     }
 
     /// Insert or update a record (update-in-place, per the modified
@@ -287,22 +241,10 @@ impl<S: PageStore> BwTree<S> {
         let pid = self.locate(key);
         self.load(pid)?;
         let c = self.cache.get_mut(&pid).unwrap();
-        match self.cfg.update_mode {
-            UpdateMode::InPlace => c.page.upsert(key, value),
-            UpdateMode::DeltaChain { max_deltas } => {
-                c.deltas.push((key, value));
-                if c.deltas.len() > max_deltas {
-                    self.stats.consolidations += 1;
-                    c.consolidate();
-                }
-            }
-        }
+        c.page.upsert(key, value);
         c.dirty = true;
-        if c.effective_size() > self.cfg.max_page_bytes {
-            c.consolidate();
-            if c.page.size() > self.cfg.max_page_bytes {
-                self.split(pid)?;
-            }
+        if c.page.size() > self.cfg.max_page_bytes {
+            self.split(pid)?;
         }
         Ok(())
     }
@@ -310,7 +252,6 @@ impl<S: PageStore> BwTree<S> {
     fn split(&mut self, pid: u64) -> Result<()> {
         self.stats.splits += 1;
         let c = self.cache.get_mut(&pid).unwrap();
-        debug_assert!(c.deltas.is_empty(), "split consolidates first");
         let right = c.page.split();
         let right_key = right.first_key().expect("split yields non-empty right");
         let right_pid = self.next_pid;
@@ -323,7 +264,6 @@ impl<S: PageStore> BwTree<S> {
             right_pid,
             Cached {
                 page: right,
-                deltas: Vec::new(),
                 dirty: true,
                 tick,
             },
@@ -344,7 +284,6 @@ impl<S: PageStore> BwTree<S> {
         for pid in dirty {
             let bytes = {
                 let c = self.cache.get_mut(&pid).unwrap();
-                c.consolidate();
                 c.dirty = false;
                 c.page.encode()
             };
@@ -486,66 +425,5 @@ mod tests {
             t.upsert(k, value(k, 0)).unwrap();
         }
         assert!(t.now() > t0);
-    }
-}
-
-#[cfg(test)]
-mod delta_tests {
-    use super::*;
-    use crate::store::EleosStore;
-    use eleos::{Eleos, EleosConfig, PageMode};
-    use eleos_flash::{CostProfile, FlashDevice, Geometry};
-
-    fn delta_tree(max_deltas: usize) -> BwTree<EleosStore> {
-        let dev = FlashDevice::new(Geometry::tiny(), CostProfile::unit());
-        let cfg = EleosConfig {
-            page_mode: PageMode::Variable,
-            max_user_lpid: 1 << 14,
-            ..EleosConfig::test_small()
-        };
-        let ssd = Eleos::format(dev, cfg).unwrap();
-        BwTree::new(
-            EleosStore::new(ssd),
-            BwTreeConfig {
-                cache_pages: 8,
-                write_buffer_bytes: 32 * 1024,
-                update_mode: UpdateMode::DeltaChain { max_deltas },
-                ..Default::default()
-            },
-        )
-    }
-
-    #[test]
-    fn deltas_consolidate_at_threshold() {
-        let mut t = delta_tree(4);
-        for i in 0..20u64 {
-            t.upsert(1, vec![i as u8; 50]).unwrap();
-        }
-        assert!(t.stats().consolidations >= 3, "{:?}", t.stats());
-        assert_eq!(t.get(1).unwrap(), Some(vec![19u8; 50]));
-    }
-
-    #[test]
-    fn newest_delta_wins_before_consolidation() {
-        let mut t = delta_tree(100); // large threshold: stays in the chain
-        t.upsert(5, b"v1".to_vec()).unwrap();
-        t.upsert(5, b"v2".to_vec()).unwrap();
-        t.upsert(6, b"other".to_vec()).unwrap();
-        assert_eq!(t.get(5).unwrap(), Some(b"v2".to_vec()));
-        assert_eq!(t.get(6).unwrap(), Some(b"other".to_vec()));
-        assert_eq!(t.stats().consolidations, 0);
-    }
-
-    #[test]
-    fn chains_consolidate_before_flush_and_split() {
-        let mut t = delta_tree(1000);
-        for k in 0..500u64 {
-            t.upsert(k, vec![k as u8; 100]).unwrap();
-        }
-        assert!(t.stats().splits > 0, "splits must still happen");
-        t.flush_all().unwrap();
-        for k in (0..500u64).step_by(13) {
-            assert_eq!(t.get(k).unwrap(), Some(vec![k as u8; 100]));
-        }
     }
 }

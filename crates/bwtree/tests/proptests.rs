@@ -2,16 +2,12 @@
 //! page modes, under tight caches that force constant paging.
 
 use eleos::{Eleos, EleosConfig, PageMode};
-use eleos_bwtree::{BwTree, BwTreeConfig, EleosStore, UpdateMode};
+use eleos_bwtree::{BwTree, BwTreeConfig, EleosStore};
 use eleos_flash::{CostProfile, FlashDevice, Geometry};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 fn tree(mode: PageMode, cache_pages: usize) -> BwTree<EleosStore> {
-    tree_with(mode, cache_pages, UpdateMode::InPlace)
-}
-
-fn tree_with(mode: PageMode, cache_pages: usize, update: UpdateMode) -> BwTree<EleosStore> {
     let dev = FlashDevice::new(Geometry::tiny(), CostProfile::unit());
     let cfg = EleosConfig {
         page_mode: mode,
@@ -25,7 +21,6 @@ fn tree_with(mode: PageMode, cache_pages: usize, update: UpdateMode) -> BwTree<E
         BwTreeConfig {
             cache_pages,
             write_buffer_bytes: 32 * 1024,
-            update_mode: update,
             ..Default::default()
         },
     )
@@ -73,37 +68,6 @@ proptest! {
         for (k, v) in &model {
             let got = t.get(*k).unwrap();
             prop_assert_eq!(got.as_ref(), Some(v), "final key {}", k);
-        }
-    }
-
-    /// The original delta-chain Bw-tree and the paper's in-place variant
-    /// must be observationally identical.
-    #[test]
-    fn delta_chain_equivalent_to_in_place(ops in prop::collection::vec(op(), 1..300)) {
-        let mut ti = tree(PageMode::Variable, 6);
-        let mut td = tree_with(
-            PageMode::Variable,
-            6,
-            UpdateMode::DeltaChain { max_deltas: 8 },
-        );
-        for o in &ops {
-            match o {
-                TreeOp::Upsert(k, s, l) => {
-                    let v = val(*k, *s, *l);
-                    ti.upsert(*k, v.clone()).unwrap();
-                    td.upsert(*k, v).unwrap();
-                }
-                TreeOp::Get(k) => {
-                    prop_assert_eq!(ti.get(*k).unwrap(), td.get(*k).unwrap(), "key {}", k);
-                }
-            }
-        }
-        ti.flush_all().unwrap();
-        td.flush_all().unwrap();
-        for o in &ops {
-            if let TreeOp::Upsert(k, _, _) = o {
-                prop_assert_eq!(ti.get(*k).unwrap(), td.get(*k).unwrap());
-            }
         }
     }
 

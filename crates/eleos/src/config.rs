@@ -15,57 +15,48 @@ pub enum PageMode {
 /// VI-A); the alternatives exist for the policy-lab ablation in
 /// EXPERIMENTS.md (write amplification / GC busy share / p99 latency at
 /// 70/80/90% utilization).
+///
+/// The discriminants seed each policy's lab workload, so they are fixed:
+/// deleting a policy (2 was the LFS cost-benefit cleaner) reseeds no other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GcPolicy {
     /// Score = (1 − E) / (E² · age); smallest scores selected (the paper's
     /// strategy, from Lomet et al., "Efficiently reclaiming space in a log
     /// structured store").
-    MinCostDecline,
+    MinCostDecline = 0,
     /// Select EBLOCKs with most reclaimable space first.
-    Greedy,
-    /// Classic cost-benefit (Rosenblum & Ousterhout's LFS cleaner): pick
-    /// the EBLOCK maximizing `age · (1 − u) / 2u` where `u` is the live
-    /// fraction — cheap-to-move *and* unlikely to decay further.
-    CostBenefit,
+    Greedy = 1,
     /// Greedy restricted to the `GcConfig::greedy_window` oldest closed
     /// EBLOCKs: an age window keeps hot EBLOCKs (still accruing garbage)
     /// out of consideration without full cost modelling.
-    WindowedGreedy,
+    WindowedGreedy = 3,
     /// Greedy discounted by lifetime erase count: a heavily erased EBLOCK
     /// looks proportionally less attractive, steering erases toward
-    /// less-worn blocks (victim-side wear leveling; allocation-side wear
-    /// leveling is `EleosConfig::wear_aware_alloc`).
-    WearAware,
+    /// less-worn blocks (victim-side wear leveling; allocation is FIFO).
+    WearAware = 4,
     /// Select oldest EBLOCKs first (LLAMA's circular-buffer strategy).
-    Oldest,
+    Oldest = 5,
 }
 
 impl GcPolicy {
     /// Every policy, in ablation-table order.
-    pub const ALL: [GcPolicy; 6] = [
+    pub const ALL: [GcPolicy; 5] = [
         GcPolicy::MinCostDecline,
         GcPolicy::Greedy,
-        GcPolicy::CostBenefit,
         GcPolicy::WindowedGreedy,
         GcPolicy::WearAware,
         GcPolicy::Oldest,
     ];
 
-    /// Stable snake_case name (bench JSON key, CLI flag value).
+    /// Stable snake_case name: the policy lab's row key.
     pub fn label(self) -> &'static str {
         match self {
             GcPolicy::MinCostDecline => "min_cost_decline",
             GcPolicy::Greedy => "greedy",
-            GcPolicy::CostBenefit => "cost_benefit",
             GcPolicy::WindowedGreedy => "windowed_greedy",
             GcPolicy::WearAware => "wear_aware",
             GcPolicy::Oldest => "oldest",
         }
-    }
-
-    /// Inverse of [`GcPolicy::label`].
-    pub fn parse(s: &str) -> Option<GcPolicy> {
-        GcPolicy::ALL.iter().copied().find(|p| p.label() == s)
     }
 }
 
@@ -152,11 +143,6 @@ pub struct EleosConfig {
     /// Number of standby EBLOCKs kept ready for the log's forward-pointer
     /// fallback chain (Section VIII-A provisions three next locations).
     pub log_standby_eblocks: usize,
-    /// Wear-aware allocation: pick the free EBLOCK with the lowest erase
-    /// count instead of FIFO order. An extension beyond the paper (which
-    /// does not discuss wear leveling); off reproduces the paper's
-    /// behaviour, on narrows the wear spread (see the ablation bench).
-    pub wear_aware_alloc: bool,
     /// Retire an EBLOCK permanently once it has accumulated this many
     /// failed WBLOCK programs over its lifetime (failure counts survive
     /// the erase that heals a poisoned block). Retired blocks never
@@ -185,7 +171,6 @@ impl Default for EleosConfig {
             mapping_cache_policy: MapCachePolicy::Lru,
             max_user_lpid: 1 << 20,
             log_standby_eblocks: 2,
-            wear_aware_alloc: false,
             retire_program_failures: 4,
             telemetry: true,
         }
@@ -260,10 +245,10 @@ mod tests {
     }
 
     #[test]
-    fn gc_policy_labels_roundtrip() {
-        for p in GcPolicy::ALL {
-            assert_eq!(GcPolicy::parse(p.label()), Some(p));
-        }
-        assert_eq!(GcPolicy::parse("nonsense"), None);
+    fn gc_policy_labels_are_unique() {
+        let mut labels: Vec<_> = GcPolicy::ALL.iter().map(|p| p.label()).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), GcPolicy::ALL.len());
     }
 }

@@ -464,7 +464,9 @@ impl Eleos {
     /// valid only if the mapping still points into this EBLOCK.
     ///
     /// The paper deduplicates by requiring monotonically decreasing
-    /// addresses. That invariant breaks when an *aborted* action left a
+    /// addresses: "for any two valid LPAGEs P1 and P2 in an EBLOCK, if P2
+    /// is newer than P1, then P2's address must be after P1's address".
+    /// That invariant breaks when an *aborted* action left a
     /// metadata entry at a newer position whose LPID still maps to an older
     /// offset — the stale entry would lower the watermark and cause a later
     /// valid page to be skipped (and then erased). We therefore deduplicate
@@ -562,14 +564,6 @@ impl Eleos {
                 GcPolicy::MinCostDecline => d.gc_score(&geo, now),
                 // Greedy: most available space first -> minimize score.
                 GcPolicy::Greedy | GcPolicy::WindowedGreedy => -(d.avail as f64),
-                // LFS cleaner benefit/cost = age · (1 − u) / 2u with u the
-                // live fraction; maximize, so negate for min-score.
-                GcPolicy::CostBenefit => {
-                    let e = d.avail_fraction(&geo).min(1.0);
-                    let u = (1.0 - e).max(1e-9);
-                    let age = (now.saturating_sub(d.ts)).max(1) as f64;
-                    -(age * e / (2.0 * u))
-                }
                 // Greedy discounted by lifetime erases: worn blocks look
                 // less attractive, spreading erase load.
                 GcPolicy::WearAware => -(d.avail as f64) / (1.0 + d.erase_count as f64),

@@ -283,23 +283,10 @@ impl Eleos {
     // ------------------------------------------------------------------
 
     pub(super) fn alloc_eblock(&mut self, channel: u32) -> Result<EblockAddr> {
-        let free = &mut self.chans[channel as usize].free;
-        if free.is_empty() {
-            return Err(EleosError::DeviceFull);
-        }
-        let eb = if self.cfg.wear_aware_alloc {
-            // Pick the least-worn free EBLOCK (wear-leveling extension).
-            let (pos, _) = free
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &e)| {
-                    self.summary.get(EblockAddr::new(channel, e)).erase_count
-                })
-                .expect("non-empty free list");
-            free.remove(pos).unwrap()
-        } else {
-            free.pop_front().unwrap()
-        };
+        let eb = self.chans[channel as usize]
+            .free
+            .pop_front()
+            .ok_or(EleosError::DeviceFull)?;
         let addr = EblockAddr::new(channel, eb);
         self.trace_eb(addr, "alloc");
         self.summary.update(addr, self.wal.next_lsn(), |d| {

@@ -113,11 +113,6 @@ impl MappingTable {
     }
 
     #[inline]
-    pub fn entries_per_page(&self) -> usize {
-        self.per_page
-    }
-
-    #[inline]
     pub fn page_of(&self, lpid: Lpid) -> u32 {
         debug_assert!(lpid < MAP_PAGE_BASE);
         (lpid as usize / self.per_page) as u32
@@ -416,14 +411,6 @@ impl MappingTable {
         }
         self.tiny.copy_from_slice(tiny);
         Ok(())
-    }
-
-    /// Drop the entire cache (crash simulation support in tests).
-    pub fn clear_cache(&mut self) {
-        self.slots.clear();
-        self.index.clear();
-        self.ring.clear();
-        self.hand = 0;
     }
 
     /// Number of cached pages (test introspection).

@@ -97,15 +97,6 @@ impl PhysAddr {
     pub fn extent(&self) -> ByteExtent {
         ByteExtent::new(self.eblock_addr(), self.offset, self.len)
     }
-
-    /// Ordering key *within one EBLOCK*: the byte offset. The GC validity
-    /// scan (Section VI-C) relies on "for any two valid LPAGEs P1 and P2 in
-    /// an EBLOCK, if P2 is newer than P1, then P2's address must be after
-    /// P1's address".
-    #[inline]
-    pub fn offset_key(&self) -> u64 {
-        self.offset
-    }
 }
 
 #[cfg(test)]

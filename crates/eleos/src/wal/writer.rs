@@ -158,9 +158,14 @@ impl LogWriter {
         target.saturating_sub(self.standbys.len())
     }
 
-    /// Feed an erased standby EBLOCK (purpose = Log).
+    /// Feed an erased standby EBLOCK (purpose = Log). Until the first page
+    /// is sealed no earlier page names its successors, so a standby's head
+    /// also becomes a candidate for that first page, up to three.
     pub fn add_standby(&mut self, eb: EblockAddr) {
         self.standbys.push(eb);
+        if self.page_seq == 0 && self.candidates.len() < 3 {
+            self.candidates.push(WblockAddr::new(eb.channel, eb.eblock, 0));
+        }
     }
 
     pub fn standbys(&self) -> &[EblockAddr] {
@@ -604,6 +609,25 @@ mod tests {
         assert_eq!(scan.records.len(), 6, "all records recoverable after fallback");
         // The chain left the poisoned EBLOCK.
         assert!(scan.pages.iter().any(|p| p.addr.eblock != EblockAddr::new(0, 2)));
+    }
+
+    #[test]
+    fn first_page_falls_back_to_a_standby() {
+        // Fail the very first log program: the head is the only place
+        // nothing has pointed at yet, so the standbys must catch the page.
+        let mut d = FlashDevice::new(Geometry::tiny(), CostProfile::unit())
+            .with_faults(FaultInjector::script([0]));
+        let mut w = LogWriter::fresh(EblockAddr::new(0, 2));
+        w.add_standby(EblockAddr::new(1, 3));
+        w.add_standby(EblockAddr::new(2, 4));
+        let (lsn, _) = w.append(&rec(7), &mut d).unwrap();
+        let (_, outcome) = w.force(&mut d).unwrap();
+        let o = outcome.unwrap();
+        assert_eq!(o.poisoned, vec![EblockAddr::new(0, 2)]);
+        assert_eq!(o.addr, WblockAddr::new(1, 3, 0));
+        let (cands, seq) = w.resume_point(1);
+        let scan = LogWriter::scan(&mut d, &cands, seq, 1);
+        assert_eq!(scan.records, vec![(lsn, rec(7))]);
     }
 
     #[test]

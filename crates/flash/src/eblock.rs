@@ -8,7 +8,7 @@
 //! mirroring how a real controller's DMA'd read buffers survive the erase of
 //! their source block.
 
-use crate::error::{FlashError, Result};
+use crate::error::FlashError;
 use crate::geometry::{Geometry, TAG_BYTES_PER_RBLOCK};
 use bytes::Bytes;
 
@@ -170,9 +170,6 @@ impl ProgramCheck {
         }
     }
 }
-
-/// Re-exported for device module use.
-pub(crate) fn _silence_unused(_: &Result<()>) {}
 
 #[cfg(test)]
 mod tests {

@@ -77,12 +77,6 @@ impl YcsbWorkload {
         &self.cfg
     }
 
-    /// Keys for the load phase (each record exactly once, shuffled-ish via
-    /// a hash walk so inserts are not purely sequential).
-    pub fn load_keys(&self) -> impl Iterator<Item = u64> {
-        0..self.cfg.records
-    }
-
     /// A deterministic record payload.
     pub fn value(&mut self, key: u64) -> Vec<u8> {
         let mut v = vec![0u8; self.cfg.value_len];

@@ -14,7 +14,6 @@ pub struct Zipfian {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2theta: f64,
 }
 
 impl Zipfian {
@@ -31,7 +30,6 @@ impl Zipfian {
             alpha,
             zetan,
             eta,
-            zeta2theta,
         }
     }
 
@@ -79,11 +77,6 @@ impl Zipfian {
 
     pub fn theta(&self) -> f64 {
         self.theta
-    }
-
-    /// The `zeta(2, theta)` constant (exposed for tests).
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2theta
     }
 }
 
