@@ -270,7 +270,6 @@ fn frontend(clients: usize) -> Option<Frontend> {
         flush_bytes: 3 * 1024,
         flush_interval_ns: 50_000,
         max_queued_batches: 8,
-        ..GroupCommitPolicy::default()
     };
     (clients > 1).then(|| Frontend::new(clients, policy))
 }

@@ -62,7 +62,6 @@ fn policy() -> GroupCommitPolicy {
         flush_bytes: 32 * 1024,
         flush_interval_ns: 100_000,
         max_queued_batches: 256,
-        ..GroupCommitPolicy::default()
     }
 }
 

@@ -17,8 +17,8 @@
 
 use crate::report::Table;
 use eleos::frontend::GroupCommitPolicy;
-use eleos::sharded::{ShardedEleos, ShardedFrontend};
-use eleos::{EleosConfig, PageMode, TelemetrySnapshot, WriteBatch};
+use eleos::sharded::ShardedEleos;
+use eleos::{EleosConfig, Frontend, PageMode, TelemetrySnapshot, WriteBatch};
 use eleos_flash::{CostProfile, FlashDevice, Geometry, SpanKind};
 use eleos_workloads::multi_client::{generate, total_pages, ClientBatch, MultiClientConfig};
 
@@ -66,7 +66,6 @@ fn policy() -> GroupCommitPolicy {
         flush_bytes: 32 * 1024,
         flush_interval_ns: 100_000,
         max_queued_batches: 256,
-        ..GroupCommitPolicy::default()
     }
 }
 
@@ -105,7 +104,7 @@ pub fn run_point(n_shards: usize, clients: usize, batches_per_client: usize) -> 
         .map(|_| FlashDevice::new(shard_geo(n_shards), CostProfile::high_end_cpu()))
         .collect();
     let mut sh = ShardedEleos::format(devs, &cfg).expect("format");
-    let mut fe = ShardedFrontend::new(clients, policy());
+    let mut fe = Frontend::new(clients, policy());
     let sim0 = sh.host_now();
     for cb in &sched {
         fe.submit(&mut sh, cb.client, cb.at, build(cb)).expect("submit");
@@ -199,7 +198,7 @@ mod tests {
 
         let devs = vec![FlashDevice::new(shard_geo(1), CostProfile::high_end_cpu())];
         let mut sh = ShardedEleos::format(devs, &cfg).expect("format");
-        let mut sfe = ShardedFrontend::new(16, policy());
+        let mut sfe = Frontend::new(16, policy());
         for cb in &sched {
             sfe.submit(&mut sh, cb.client, cb.at, build(cb)).expect("submit");
         }

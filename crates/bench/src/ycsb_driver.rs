@@ -152,7 +152,6 @@ pub fn run_ycsb(interface: Interface, setup: &YcsbSetup) -> YcsbResult {
                     GcMode::Disabled => 0.0,
                     GcMode::Enabled { .. } => 0.10,
                 },
-                gc_free_target: 0.15,
                 ckpt_interval_bytes: match setup.gc {
                     GcMode::Disabled => u64::MAX,
                     GcMode::Enabled { .. } => 16 * 1024 * 1024,

@@ -15,27 +15,27 @@ use std::collections::{BTreeMap, HashMap};
 /// Tree configuration.
 #[derive(Debug, Clone)]
 pub struct BwTreeConfig {
-    /// Split threshold for a leaf's serialized size. 4000 bytes keeps every
-    /// page within a 4 KB fixed slot (header included) in FP/Block modes.
-    pub max_page_bytes: usize,
     /// Buffer-cache capacity in pages.
     pub cache_pages: usize,
     /// Write-buffer capacity in bytes (the paper uses 1 MB).
     pub write_buffer_bytes: usize,
-    /// Host CPU cost per application operation.
-    pub op_cost_ns: u64,
 }
 
 impl Default for BwTreeConfig {
     fn default() -> Self {
         BwTreeConfig {
-            max_page_bytes: 4000,
             cache_pages: 1024,
             write_buffer_bytes: 1024 * 1024,
-            op_cost_ns: 1_500,
         }
     }
 }
+
+/// Split threshold for a leaf's serialized size. 4000 bytes keeps every
+/// page within a 4 KB fixed slot (header included) in FP/Block modes.
+const MAX_PAGE_BYTES: usize = 4000;
+
+/// Host CPU cost per application operation.
+const OP_COST_NS: u64 = 1_500;
 
 /// Operation counters.
 #[derive(Debug, Clone, Default)]
@@ -226,7 +226,7 @@ impl<S: PageStore> BwTree<S> {
 
     /// Read the value for `key`.
     pub fn get(&mut self, key: u64) -> Result<Option<Vec<u8>>> {
-        self.store.host_cpu(self.cfg.op_cost_ns);
+        self.store.host_cpu(OP_COST_NS);
         self.stats.gets += 1;
         let pid = self.locate(key);
         self.load(pid)?;
@@ -236,14 +236,14 @@ impl<S: PageStore> BwTree<S> {
     /// Insert or update a record (update-in-place, per the modified
     /// Bw-tree).
     pub fn upsert(&mut self, key: u64, value: Vec<u8>) -> Result<()> {
-        self.store.host_cpu(self.cfg.op_cost_ns);
+        self.store.host_cpu(OP_COST_NS);
         self.stats.upserts += 1;
         let pid = self.locate(key);
         self.load(pid)?;
         let c = self.cache.get_mut(&pid).unwrap();
         c.page.upsert(key, value);
         c.dirty = true;
-        if c.page.size() > self.cfg.max_page_bytes {
+        if c.page.size() > MAX_PAGE_BYTES {
             self.split(pid)?;
         }
         Ok(())
@@ -324,7 +324,6 @@ mod tests {
             BwTreeConfig {
                 cache_pages,
                 write_buffer_bytes: 64 * 1024,
-                ..Default::default()
             },
         )
     }

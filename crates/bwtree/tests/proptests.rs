@@ -21,7 +21,6 @@ fn tree(mode: PageMode, cache_pages: usize) -> BwTree<EleosStore> {
         BwTreeConfig {
             cache_pages,
             write_buffer_bytes: 32 * 1024,
-            ..Default::default()
         },
     )
 }

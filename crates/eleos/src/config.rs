@@ -98,25 +98,6 @@ impl Default for GcConfig {
     }
 }
 
-/// Replacement policy for the bounded mapping-page cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MapCachePolicy {
-    /// Never evict: every translation page loaded stays resident. With a
-    /// bound that never binds this is byte-identical to `Lru` (the
-    /// eviction scan is the only difference, and it is pure bookkeeping) —
-    /// the twin configuration the mapping-equivalence proptest compares
-    /// against.
-    Unbounded,
-    /// Evict the least-recently-used *clean* page once the bound is hit;
-    /// dirty pages are never dropped (they flush under WAL protection
-    /// first), so the cache may temporarily overflow under write bursts.
-    Lru,
-    /// CLOCK (second-chance) over an explicit resident ring: cheaper
-    /// bookkeeping than true LRU, deterministic hand order (never
-    /// dependent on hash-map iteration). Same dirty-page overflow rule.
-    Clock,
-}
-
 /// Tunables for the ELEOS controller.
 #[derive(Debug, Clone)]
 pub struct EleosConfig {
@@ -131,13 +112,11 @@ pub struct EleosConfig {
     /// Mapping-table entries per mapping page.
     pub map_entries_per_page: usize,
     /// Maximum mapping (translation) pages held in the in-memory cache;
-    /// pages beyond the bound are evicted per `mapping_cache_policy`,
-    /// dirty pages are flushed first (Section III-B: the mapping table is
-    /// "too large to be totally cached in memory" — translation pages
+    /// a fault beyond the bound evicts the least-recently-used clean page,
+    /// and dirty pages are flushed first (Section III-B: the mapping table
+    /// is "too large to be totally cached in memory" — translation pages
     /// live in EBLOCKs like data and fault in on demand).
     pub mapping_cache_pages: usize,
-    /// Replacement policy for the mapping-page cache.
-    pub mapping_cache_policy: MapCachePolicy,
     /// Highest application LPID supported (pre-sizes the mapping table).
     pub max_user_lpid: u64,
     /// Number of standby EBLOCKs kept ready for the log's forward-pointer
@@ -168,7 +147,6 @@ impl Default for EleosConfig {
             ckpt_log_bytes: 4 * 1024 * 1024,
             map_entries_per_page: 256,
             mapping_cache_pages: 1024,
-            mapping_cache_policy: MapCachePolicy::Lru,
             max_user_lpid: 1 << 20,
             log_standby_eblocks: 2,
             retire_program_failures: 4,
@@ -241,7 +219,6 @@ mod tests {
         assert!((c.gc.free_watermark - 0.10).abs() < 1e-9);
         assert_eq!(c.gc.open_bins, 3);
         assert_eq!(c.gc.policy, GcPolicy::MinCostDecline);
-        assert_eq!(c.mapping_cache_policy, MapCachePolicy::Lru);
     }
 
     #[test]

@@ -98,7 +98,6 @@ impl Eleos {
             cfg.max_user_lpid,
             cfg.map_entries_per_page,
             cfg.mapping_cache_pages,
-            cfg.mapping_cache_policy,
         );
         let mut summary = SummaryTable::new(geo);
         for eb in CkptArea::reserved_eblocks() {

@@ -119,12 +119,10 @@ impl Eleos {
         );
         let trunc = ckpt.trunc_lsn;
 
-        let mut mapping =
-            MappingTable::new(
+        let mut mapping = MappingTable::new(
             cfg.max_user_lpid,
             cfg.map_entries_per_page,
             cfg.mapping_cache_pages,
-            cfg.mapping_cache_policy,
         );
         mapping.load_tiny(&ckpt.tiny)?;
         let mut summary_small = ckpt.summary_small.clone();

@@ -13,10 +13,10 @@
 //! groups (the covering write is atomic; on a sharded array that is the
 //! cross-shard group-commit guarantee).
 //!
-//! The front-end is generic over [`Controller`], so the same
-//! implementation (formerly duplicated as `ShardedFrontend`) drives both
-//! [`Eleos`](crate::Eleos) and the sharded array — unit 0 hosts the
-//! dispatch clock and the front-end's own CPU ledger rows in both cases.
+//! The front-end is generic over [`Controller`], so one implementation
+//! drives both [`Eleos`](crate::Eleos) and the sharded array — unit 0
+//! hosts the dispatch clock and the front-end's own CPU ledger rows in
+//! both cases.
 //!
 //! Everything runs on the shared [`SimClock`]: arrival gaps and the
 //! group-commit *time threshold* advance the CPU horizon via idle waits
@@ -48,14 +48,15 @@ pub struct GroupCommitPolicy {
     /// Backpressure cap: flush once this many client batches are queued,
     /// bounding front-end memory and per-batch queue delay.
     pub max_queued_batches: usize,
-    /// Front-end CPU per enqueued client batch (queue bookkeeping),
-    /// attributed to [`Activity::Frontend`].
-    pub enqueue_cpu_ns: Nanos,
-    /// Front-end CPU per flush (group assembly), plus
-    /// [`GroupCommitPolicy::enqueue_cpu_ns`]-scale per-batch coalescing
-    /// cost, attributed to [`Activity::Frontend`].
-    pub flush_cpu_ns: Nanos,
 }
+
+/// Front-end CPU per enqueued client batch (queue bookkeeping), attributed
+/// to [`Activity::Frontend`].
+const ENQUEUE_CPU_NS: Nanos = 300;
+
+/// Front-end CPU per flush (group assembly), plus [`ENQUEUE_CPU_NS`] per
+/// batch for coalescing, attributed to [`Activity::Frontend`].
+const FLUSH_CPU_NS: Nanos = 1_000;
 
 impl Default for GroupCommitPolicy {
     fn default() -> Self {
@@ -63,8 +64,6 @@ impl Default for GroupCommitPolicy {
             flush_bytes: 64 * 1024,
             flush_interval_ns: 200_000,
             max_queued_batches: 256,
-            enqueue_cpu_ns: 300,
-            flush_cpu_ns: 1_000,
         }
     }
 }
@@ -212,7 +211,7 @@ impl Frontend {
             }
         }
         ssd.unit_mut(0).device_mut().clock_mut().wait_until(at);
-        self.charge_cpu(ssd, self.policy.enqueue_cpu_ns)?;
+        self.charge_cpu(ssd, ENQUEUE_CPU_NS)?;
         let now = ssd.host_now();
         let client_seq = self.next_seq[client];
         self.next_seq[client] += 1;
@@ -244,11 +243,7 @@ impl Frontend {
         }
         let open_at = self.group_open_at.unwrap_or_else(|| ssd.host_now());
         // Group assembly: one flush fee plus a per-batch coalescing fee.
-        self.charge_cpu(
-            ssd,
-            self.policy.flush_cpu_ns
-                + self.policy.enqueue_cpu_ns * self.pending.len() as Nanos,
-        )?;
+        self.charge_cpu(ssd, FLUSH_CPU_NS + ENQUEUE_CPU_NS * self.pending.len() as Nanos)?;
         // Sized exactly: the controller adopts this buffer, so any spare
         // capacity would stay pinned as long as its WBLOCKs live.
         let mut merged =
@@ -484,7 +479,6 @@ mod tests {
                 flush_bytes: usize::MAX,
                 flush_interval_ns: u64::MAX,
                 max_queued_batches: 4,
-                ..GroupCommitPolicy::default()
             },
         );
         let mut acked = 0;

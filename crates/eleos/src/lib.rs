@@ -85,13 +85,13 @@ pub mod wal;
 
 pub use api::Controller;
 pub use batch::WriteBatch;
-pub use config::{EleosConfig, GcConfig, GcPolicy, MapCachePolicy, PageMode};
+pub use config::{EleosConfig, GcConfig, GcPolicy, PageMode};
 pub use controller::{BatchAck, Eleos, SpaceReport, WriteOpts};
 pub use error::{EleosError, Result};
 pub use frontend::{Frontend, GroupAck, GroupCommitPolicy};
 pub use mapping::MapCacheStats;
 pub use phys::{PhysAddr, NULL_PADDR};
-pub use sharded::{shard_of_lpid, ShardedEleos, ShardedFrontend};
+pub use sharded::{shard_of_lpid, ShardedEleos};
 pub use stats::EleosStats;
 pub use telemetry_snapshot::{MergedSnapshot, TelemetrySnapshot};
 pub use types::{Lpid, Lsn, Sid, Usn, Wsn, LPAGE_ALIGN};

@@ -10,7 +10,6 @@
 //!   to live inside the checkpoint record itself.
 
 use crate::batch::{decode_stored_header, ENTRY_HEADER};
-use crate::config::MapCachePolicy;
 use crate::error::{EleosError, Result};
 use crate::phys::{PhysAddr, NULL_PADDR};
 use crate::types::{IntHash, Lpid, Lsn, PageKind, MAP_PAGE_BASE};
@@ -29,8 +28,6 @@ struct CachedPage {
     rec_lsn: Lsn,
     /// LRU tick.
     last_used: u64,
-    /// CLOCK reference bit (second chance).
-    referenced: bool,
 }
 
 eleos_flash::counters! {
@@ -45,7 +42,7 @@ eleos_flash::counters! {
         /// Misses that read a translation page from flash (the rest were
         /// never-flushed pages materialized as all-unmapped).
         pub flash_loads: u64,
-        /// Clean pages dropped by the replacement policy.
+        /// Clean pages dropped by LRU replacement.
         pub evictions: u64,
     }
 }
@@ -56,7 +53,6 @@ pub struct MappingTable {
     per_page: usize,
     n_pages: usize,
     max_cache: usize,
-    policy: MapCachePolicy,
     /// Level 2: packed flash address of each mapping page.
     small: Vec<u64>,
     /// Level 3: packed flash address of each small-table page.
@@ -66,23 +62,12 @@ pub struct MappingTable {
     slots: Vec<CachedPage>,
     /// Slot of each resident page.
     index: HashMap<u32, usize, IntHash>,
-    /// Resident pages in insertion order — the CLOCK ring. Maintained for
-    /// every policy so the hand's sweep never depends on hash-map
-    /// iteration order.
-    ring: Vec<u32>,
-    /// CLOCK hand: index into `ring` of the next candidate.
-    hand: usize,
     tick: u64,
     stats: MapCacheStats,
 }
 
 impl MappingTable {
-    pub fn new(
-        max_user_lpid: u64,
-        per_page: usize,
-        max_cache: usize,
-        policy: MapCachePolicy,
-    ) -> Self {
+    pub fn new(max_user_lpid: u64, per_page: usize, max_cache: usize) -> Self {
         assert!(per_page > 0);
         let n_pages = ((max_user_lpid + 1) as usize).div_ceil(per_page);
         let n_small = n_pages.div_ceil(per_page);
@@ -90,13 +75,10 @@ impl MappingTable {
             per_page,
             n_pages,
             max_cache: max_cache.max(1),
-            policy,
             small: vec![NULL_PADDR; n_pages],
             tiny: vec![NULL_PADDR; n_small],
             slots: Vec::new(),
             index: HashMap::default(),
-            ring: Vec::new(),
-            hand: 0,
             tick: 0,
             stats: MapCacheStats::default(),
         }
@@ -141,7 +123,6 @@ impl MappingTable {
         };
         let p = &mut self.slots[slot];
         p.last_used = self.tick;
-        p.referenced = true;
         Ok(p)
     }
 
@@ -174,87 +155,39 @@ impl MappingTable {
             dirty: false,
             rec_lsn: 0,
             last_used: 0,
-            referenced: true,
         });
         self.index.insert(page, slot);
-        self.ring.push(page);
         Ok(slot)
     }
 
-    /// Drop one resident page and keep the ring / hand consistent.
-    fn evict(&mut self, page: u32) {
-        if let Some(slot) = self.index.remove(&page) {
-            self.slots.swap_remove(slot);
+    /// Make room for one incoming page: evict the clean resident page used
+    /// least recently. Dirty pages are never dropped — they are flushed by
+    /// checkpointing (or an eviction-flush driven by the controller) and
+    /// evicted clean later — so with every resident page dirty the cache
+    /// overflows its bound until they are.
+    fn maybe_evict_clean(&mut self) {
+        while self.slots.len() >= self.max_cache {
+            let victim = self
+                .slots
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| !p.dirty)
+                .min_by_key(|(_, p)| p.last_used)
+                .map(|(slot, _)| slot);
+            let Some(slot) = victim else { break };
+            let page = self.slots.swap_remove(slot).page;
+            self.index.remove(&page);
             if let Some(moved) = self.slots.get(slot) {
                 self.index.insert(moved.page, slot);
             }
-        }
-        if let Some(pos) = self.ring.iter().position(|&p| p == page) {
-            self.ring.remove(pos);
-            if self.hand > pos {
-                self.hand -= 1;
-            }
-        }
-        if !self.ring.is_empty() {
-            self.hand %= self.ring.len();
-        } else {
-            self.hand = 0;
-        }
-        self.stats.evictions += 1;
-    }
-
-    /// Make room for one incoming page per the replacement policy. Dirty
-    /// pages are never dropped — they are flushed by checkpointing (or an
-    /// eviction-flush driven by the controller) and evicted clean later.
-    fn maybe_evict_clean(&mut self) {
-        match self.policy {
-            MapCachePolicy::Unbounded => {}
-            MapCachePolicy::Lru => {
-                while self.slots.len() >= self.max_cache {
-                    let victim = self
-                        .slots
-                        .iter()
-                        .filter(|p| !p.dirty)
-                        .min_by_key(|p| p.last_used)
-                        .map(|p| p.page);
-                    match victim {
-                        Some(k) => self.evict(k),
-                        None => break, // all dirty; allow temporary overflow
-                    }
-                }
-            }
-            MapCachePolicy::Clock => {
-                while self.slots.len() >= self.max_cache {
-                    // Two sweeps: the first clears reference bits, the
-                    // second then finds any clean unreferenced page. If
-                    // neither evicts, every resident page is dirty.
-                    let mut evicted = false;
-                    for _ in 0..2 * self.ring.len() {
-                        let page = self.ring[self.hand];
-                        let p = &mut self.slots[self.index[&page]];
-                        if p.dirty {
-                            self.hand = (self.hand + 1) % self.ring.len();
-                        } else if p.referenced {
-                            p.referenced = false;
-                            self.hand = (self.hand + 1) % self.ring.len();
-                        } else {
-                            self.evict(page);
-                            evicted = true;
-                            break;
-                        }
-                    }
-                    if !evicted {
-                        break; // all dirty; allow temporary overflow
-                    }
-                }
-            }
+            self.stats.evictions += 1;
         }
     }
 
     /// True when the cache exceeds its bound with dirty pages (the
-    /// controller should flush some). Never true for an unbounded cache.
+    /// controller should flush some).
     pub fn overfull(&self) -> bool {
-        self.policy != MapCachePolicy::Unbounded && self.slots.len() > self.max_cache
+        self.slots.len() > self.max_cache
     }
 
     /// Observational cache counters.
@@ -446,14 +379,14 @@ mod tests {
 
     #[test]
     fn unmapped_lpid_is_none() {
-        let mut m = MappingTable::new(1000, 16, 4, MapCachePolicy::Lru);
+        let mut m = MappingTable::new(1000, 16, 4);
         let mut d = dev();
         assert_eq!(m.get(5, &mut d).unwrap(), None);
     }
 
     #[test]
     fn set_get_roundtrip_and_old_value() {
-        let mut m = MappingTable::new(1000, 16, 4, MapCachePolicy::Lru);
+        let mut m = MappingTable::new(1000, 16, 4);
         let mut d = dev();
         let a1 = addr(0, 64).pack();
         let a2 = addr(64, 128).pack();
@@ -464,7 +397,7 @@ mod tests {
 
     #[test]
     fn conditional_install_semantics() {
-        let mut m = MappingTable::new(1000, 16, 4, MapCachePolicy::Lru);
+        let mut m = MappingTable::new(1000, 16, 4);
         let mut d = dev();
         let a1 = addr(0, 64).pack();
         let a2 = addr(64, 64).pack();
@@ -479,7 +412,7 @@ mod tests {
 
     #[test]
     fn dirty_tracking_and_rec_lsn() {
-        let mut m = MappingTable::new(1000, 16, 4, MapCachePolicy::Lru);
+        let mut m = MappingTable::new(1000, 16, 4);
         let mut d = dev();
         assert!(m.min_rec_lsn().is_none());
         m.set(0, addr(0, 64).pack(), 10, &mut d).unwrap();
@@ -494,7 +427,7 @@ mod tests {
 
     #[test]
     fn clean_pages_evicted_dirty_retained() {
-        let mut m = MappingTable::new(1000, 16, 2, MapCachePolicy::Lru);
+        let mut m = MappingTable::new(1000, 16, 2);
         let mut d = dev();
         m.set(0, addr(0, 64).pack(), 1, &mut d).unwrap(); // page 0, dirty
         m.get(16, &mut d).unwrap(); // page 1, clean
@@ -505,7 +438,7 @@ mod tests {
 
     #[test]
     fn reserved_lpid_rejected() {
-        let mut m = MappingTable::new(1000, 16, 4, MapCachePolicy::Lru);
+        let mut m = MappingTable::new(1000, 16, 4);
         let mut d = dev();
         assert!(matches!(
             m.get(MAP_PAGE_BASE, &mut d),
@@ -515,43 +448,24 @@ mod tests {
 
     #[test]
     fn lpid_beyond_max_not_found() {
-        let mut m = MappingTable::new(100, 16, 4, MapCachePolicy::Lru);
+        let mut m = MappingTable::new(100, 16, 4);
         let mut d = dev();
         assert!(matches!(m.get(5000, &mut d), Err(EleosError::NotFound(_))));
     }
 
     #[test]
     fn small_page_encode_decode_roundtrip() {
-        let mut m = MappingTable::new(1000, 16, 4, MapCachePolicy::Lru);
+        let mut m = MappingTable::new(1000, 16, 4);
         m.set_small_addr(3, addr(64, 64).pack());
         let bytes = m.encode_small_page(0);
-        let mut m2 = MappingTable::new(1000, 16, 4, MapCachePolicy::Lru);
+        let mut m2 = MappingTable::new(1000, 16, 4);
         m2.decode_small_page(0, &bytes).unwrap();
         assert_eq!(m2.small_addr(3), addr(64, 64).pack());
     }
 
     #[test]
-    fn clock_second_chance_evicts_unreferenced_clean() {
-        let mut m = MappingTable::new(1000, 16, 2, MapCachePolicy::Clock);
-        let mut d = dev();
-        m.get(0, &mut d).unwrap(); // page 0
-        m.get(16, &mut d).unwrap(); // page 1
-        // Third load sweeps: both residents spend their reference bit
-        // (second chance), then the hand returns to page 0 and evicts it.
-        m.get(32, &mut d).unwrap(); // page 2
-        assert_eq!(m.cache_stats().evictions, 1);
-        assert_eq!(m.cached_pages(), 2);
-        // Page 1 is now unreferenced while the fresh page 2 still holds
-        // its bit: the next fault evicts page 1, page 2 survives.
-        m.get(48, &mut d).unwrap(); // page 3
-        assert_eq!(m.cache_stats().evictions, 2);
-        m.get(32, &mut d).unwrap();
-        assert_eq!(m.cache_stats().hits, 1, "referenced page 2 survived the sweep");
-    }
-
-    #[test]
-    fn clock_never_drops_dirty() {
-        let mut m = MappingTable::new(1000, 16, 2, MapCachePolicy::Clock);
+    fn lru_never_drops_dirty() {
+        let mut m = MappingTable::new(1000, 16, 2);
         let mut d = dev();
         m.set(0, addr(0, 64).pack(), 1, &mut d).unwrap(); // page 0 dirty
         m.set(16, addr(64, 64).pack(), 2, &mut d).unwrap(); // page 1 dirty
@@ -562,8 +476,8 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_never_evicts_and_never_overfull() {
-        let mut m = MappingTable::new(1000, 16, 1, MapCachePolicy::Unbounded);
+    fn roomy_bound_never_evicts_and_never_overfull() {
+        let mut m = MappingTable::new(1000, 16, 1 << 16);
         let mut d = dev();
         for p in 0..10u64 {
             m.get(p * 16, &mut d).unwrap();
@@ -575,7 +489,7 @@ mod tests {
 
     #[test]
     fn cache_stats_count_hits_and_misses() {
-        let mut m = MappingTable::new(1000, 16, 4, MapCachePolicy::Lru);
+        let mut m = MappingTable::new(1000, 16, 4);
         let mut d = dev();
         m.get(0, &mut d).unwrap(); // miss (never flushed: no flash read)
         m.get(1, &mut d).unwrap(); // hit (same page)
@@ -587,8 +501,8 @@ mod tests {
     /// the final hit and miss counts. The script runs 12 mapping pages
     /// through a 4-page cache: reads skewed to pages 0-4, writes that pin
     /// pages dirty, and every tenth step a checkpoint that cleans them.
-    fn eviction_trace(policy: MapCachePolicy) -> (Vec<u32>, u64, u64) {
-        let mut m = MappingTable::new(16 * 12 - 1, 16, 4, policy);
+    fn eviction_trace() -> (Vec<u32>, u64, u64) {
+        let mut m = MappingTable::new(16 * 12 - 1, 16, 4);
         let mut d = dev();
         let resident = |m: &MappingTable| -> Vec<u32> {
             let mut v: Vec<u32> = m.slots.iter().map(|p| p.page).collect();
@@ -632,7 +546,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_order_is_pinned() {
-        let (evicted, hits, misses) = eviction_trace(MapCachePolicy::Lru);
+        let (evicted, hits, misses) = eviction_trace();
         assert_eq!(
             evicted,
             [
@@ -645,22 +559,8 @@ mod tests {
     }
 
     #[test]
-    fn clock_eviction_order_is_pinned() {
-        let (evicted, hits, misses) = eviction_trace(MapCachePolicy::Clock);
-        assert_eq!(
-            evicted,
-            [
-                3, 9, 5, 11, 4, 1, 3, 7, 10, 4, 2, 0, 10, 2, 0, 3, 2, 1, 4, 7, 3, 1, 2, 4, 8, 10,
-                4, 6, 2, 0, 4, 7, 3, 1, 6, 11, 4, 5, 1, 9, 3, 8, 1, 0, 4, 10, 6, 7, 1, 4, 2, 3, 6,
-                0, 8, 1
-            ]
-        );
-        assert_eq!((hits, misses), (60, 60));
-    }
-
-    #[test]
     fn tiny_table_sizing() {
-        let m = MappingTable::new(1000, 16, 4, MapCachePolicy::Lru);
+        let m = MappingTable::new(1000, 16, 4);
         // 1001 lpids / 16 = 63 pages; 63 / 16 = 4 small pages.
         assert_eq!(m.n_pages(), 63);
         assert_eq!(m.n_small_pages(), 4);

@@ -392,24 +392,11 @@ impl ShardedEleos {
     }
 }
 
-/// Per-client ACK from the sharded front-end — same contract as
-/// [`crate::frontend::GroupAck`].
-pub use crate::frontend::GroupAck;
-
-/// The sharded front-end *is* the generic [`crate::Frontend`]: since the
-/// front-end went generic over [`crate::Controller`], the line-for-line
-/// `ShardedFrontend` twin this module carried in PR 7 collapsed into it.
-/// The alias keeps PR 7 call sites compiling unchanged; front-end
-/// bookkeeping (queue CPU, group-assembly CPU, the group-flush span) is
-/// charged to unit 0 — shard 0 here — so a 1-shard run stays
-/// byte-identical to the unsharded front-end.
-pub use crate::frontend::Frontend as ShardedFrontend;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::PageMode;
-    use crate::frontend::GroupCommitPolicy;
+    use crate::frontend::{Frontend, GroupCommitPolicy};
     use eleos_flash::{CostProfile, Geometry};
 
     fn devs(n: usize) -> Vec<FlashDevice> {
@@ -503,7 +490,7 @@ mod tests {
     #[test]
     fn sharded_frontend_acks_and_conserves_per_shard() {
         let mut sh = sharded(2);
-        let mut fe = ShardedFrontend::new(2, GroupCommitPolicy::default());
+        let mut fe = Frontend::new(2, GroupCommitPolicy::default());
         let (a, b) = straddling_pair();
         fe.submit(&mut sh, 0, 100, batch(&[(a, 3, 200)])).unwrap();
         fe.submit(&mut sh, 1, 200, batch(&[(b, 4, 200)])).unwrap();

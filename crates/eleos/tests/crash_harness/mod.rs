@@ -58,7 +58,6 @@ pub fn policy() -> GroupCommitPolicy {
         flush_bytes: 4 * 1024,
         flush_interval_ns: 60_000,
         max_queued_batches: 8,
-        ..GroupCommitPolicy::default()
     }
 }
 

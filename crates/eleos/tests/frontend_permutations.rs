@@ -83,7 +83,6 @@ proptest! {
             flush_bytes,
             flush_interval_ns,
             max_queued_batches: cap,
-            ..GroupCommitPolicy::default()
         };
 
         // Run A: the multi-client front-end over an interleaved schedule.

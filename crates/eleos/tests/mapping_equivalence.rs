@@ -1,27 +1,19 @@
 //! Demand-paged mapping equivalence (DESIGN.md §15).
 //!
 //! The translation pages live on flash; what varies per config is only the
-//! *cache* in front of them — `mapping_cache_pages` and the
-//! [`MapCachePolicy`] (unbounded / LRU / CLOCK). None of that may be
-//! observable through the logical interface:
-//!
-//! * **Logical-state twins** (proptest): the same operation schedule —
-//!   writes spread across many translation pages, deletes, checkpoints,
-//!   crash-recover cycles at the same schedule positions — driven against
-//!   a tiny LRU cache under heavy eviction pressure, a tiny CLOCK cache,
-//!   and the unbounded cache, must leave all three twins with identical
-//!   logical state: every LPID reads back the same bytes (or `NotFound`)
-//!   on each. Physical placement is *allowed* to differ (eviction flushes
-//!   write translation pages at different times); only the logical mapping
-//!   must agree.
-//! * **Byte identity** (fixed script): an `Unbounded` cache and a bounded
-//!   cache whose bound never binds run the *same* flash command stream —
-//!   proven by snapshot-JSON equality, counters, spans, ledger and all.
-//!   This is the anchor that keeps the crash sweeps and proptests (which
-//!   run with a roomy default cache) valid oracles for the demand-paged
-//!   configuration.
+//! size of the LRU *cache* in front of them (`mapping_cache_pages`). It may
+//! not be observable through the logical interface: the same operation
+//! schedule — writes spread across many translation pages, deletes,
+//! checkpoints, crash-recover cycles at the same schedule positions —
+//! driven against a tiny cache under heavy eviction pressure and against a
+//! cache whose bound never binds must leave both twins with identical
+//! logical state: every LPID reads back the same bytes (or `NotFound`) on
+//! each. Physical placement is *allowed* to differ (eviction flushes write
+//! translation pages at different times); only the logical mapping must
+//! agree. This keeps the crash sweeps and proptests, which run with a
+//! roomy default cache, valid oracles for the demand-paged configuration.
 
-use eleos::{Eleos, EleosConfig, EleosError, MapCachePolicy, PageMode, WriteBatch, WriteOpts};
+use eleos::{Eleos, EleosConfig, EleosError, PageMode, WriteBatch, WriteOpts};
 use eleos_flash::{CostProfile, FlashDevice, Geometry};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -33,14 +25,13 @@ fn dev() -> FlashDevice {
 /// Small translation pages (16 entries) + LPIDs spread over 0..1024 means
 /// the schedule touches ~64 translation pages; a 3-page cache is under
 /// constant eviction pressure.
-fn cfg(cache_pages: usize, policy: MapCachePolicy) -> EleosConfig {
+fn cfg(cache_pages: usize) -> EleosConfig {
     EleosConfig {
         // Small enough that long schedules cross automatic checkpoints,
         // so crash points land mid-flush (WAL-protected translation-page
         // writes in flight).
         ckpt_log_bytes: 96 * 1024,
         mapping_cache_pages: cache_pages,
-        mapping_cache_policy: policy,
         ..EleosConfig::test_small()
     }
 }
@@ -144,58 +135,16 @@ fn run_schedule(ops: &[Op], cfg: EleosConfig) -> Result<HashMap<u64, Vec<u8>>, T
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The demand-paged twins: tiny LRU, tiny CLOCK and unbounded caches
-    /// all end a schedule (with mid-run crash-recover cycles) in the same
-    /// logical state.
+    /// The demand-paged twins: a tiny cache and one whose bound never
+    /// binds (1 << 16 pages, far beyond the ~64 translation pages the
+    /// schedule touches) end a schedule (with mid-run crash-recover
+    /// cycles) in the same logical state.
     #[test]
-    fn cache_policy_is_invisible_to_logical_state(
+    fn cache_size_is_invisible_to_logical_state(
         ops in prop::collection::vec(op_strategy(), 1..40),
     ) {
-        let lru = run_schedule(&ops, cfg(3, MapCachePolicy::Lru))?;
-        let clock = run_schedule(&ops, cfg(3, MapCachePolicy::Clock))?;
-        let unbounded = run_schedule(&ops, cfg(1, MapCachePolicy::Unbounded))?;
-        prop_assert_eq!(&lru, &clock, "LRU vs CLOCK logical state");
-        prop_assert_eq!(&lru, &unbounded, "LRU vs unbounded logical state");
+        let tiny = run_schedule(&ops, cfg(3))?;
+        let roomy = run_schedule(&ops, cfg(1 << 16))?;
+        prop_assert_eq!(&tiny, &roomy, "tiny vs roomy cache logical state");
     }
-}
-
-/// The PR 9 acceptance anchor: with a bound that never binds, the bounded
-/// cache executes byte-for-byte the same run as the unbounded one — the
-/// eviction scan is pure bookkeeping. Snapshot JSON covers every counter,
-/// span histogram and attribution-ledger row, so equality here means the
-/// flash command streams (and their timing) were identical.
-#[test]
-fn unbounded_cache_is_byte_identical_to_roomy_bounded_cache() {
-    let script = |cfg: EleosConfig| {
-        let mut ssd = Eleos::format(dev(), cfg).unwrap();
-        for round in 0..30u64 {
-            let mut b = WriteBatch::new(PageMode::Variable);
-            for k in 0..6u64 {
-                let lpid = (round * 173 + k * 61) % 1024;
-                if (0..k).any(|j| (round * 173 + j * 61) % 1024 == lpid) {
-                    continue;
-                }
-                b.put(lpid, &page_bytes(lpid, round as u8, 200 + (round % 700) as u16))
-                    .unwrap();
-            }
-            ssd.write(&b, WriteOpts::default()).unwrap();
-            if round % 7 == 3 {
-                ssd.checkpoint().unwrap();
-            }
-            if round % 11 == 5 {
-                ssd.delete_batch(&[(round * 173) % 1024]).unwrap();
-            }
-        }
-        ssd.maintenance().unwrap();
-        ssd.drain();
-        ssd.snapshot().to_json()
-    };
-    // 1 << 16 pages is far beyond the ~64 translation pages the script
-    // touches: the LRU bound exists but never binds.
-    let bounded = script(cfg(1 << 16, MapCachePolicy::Lru));
-    let unbounded = script(cfg(1, MapCachePolicy::Unbounded));
-    assert_eq!(
-        bounded, unbounded,
-        "a never-binding bounded cache must replay the unbounded run byte-for-byte"
-    );
 }

@@ -173,7 +173,6 @@ fn frontend_queue_aware_check_allows_pipelining_rejects_gaps() {
         flush_bytes: usize::MAX,
         flush_interval_ns: u64::MAX,
         max_queued_batches: 100,
-        ..GroupCommitPolicy::default()
     });
     // WSNs 1..=3 pipeline into the open group without any flush.
     for w in 1..=3u64 {
@@ -208,7 +207,6 @@ fn frontend_purge_drops_only_that_clients_unflushed_batches() {
         flush_bytes: usize::MAX,
         flush_interval_ns: u64::MAX,
         max_queued_batches: 100,
-        ..GroupCommitPolicy::default()
     });
     fe.submit(&mut e, 0, 1, batch(1, 1, 50)).unwrap();
     fe.submit(&mut e, 1, 2, batch(2, 2, 50)).unwrap();

@@ -228,7 +228,6 @@ fn frontend_activity_row_conserves() {
             flush_bytes: 4 * 1024,
             flush_interval_ns: 25_000,
             max_queued_batches: 16,
-            ..GroupCommitPolicy::default()
         },
     );
     for cb in generate(&mc) {

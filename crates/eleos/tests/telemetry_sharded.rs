@@ -6,8 +6,8 @@
 //! to the controller that spent the time.
 
 use eleos::frontend::GroupCommitPolicy;
-use eleos::sharded::{ShardedEleos, ShardedFrontend};
-use eleos::{EleosConfig, PageMode, TelemetrySnapshot, WriteBatch};
+use eleos::sharded::ShardedEleos;
+use eleos::{EleosConfig, Frontend, PageMode, TelemetrySnapshot, WriteBatch};
 use eleos_flash::{Activity, CostProfile, FlashDevice, Geometry, SpanKind};
 use eleos_workloads::multi_client::{generate, MultiClientConfig};
 
@@ -41,13 +41,12 @@ fn merged_snapshot_conserves_per_shard_and_labels_rows() {
         seed: 9,
         ..MultiClientConfig::default()
     };
-    let mut fe = ShardedFrontend::new(
+    let mut fe = Frontend::new(
         mc.clients,
         GroupCommitPolicy {
             flush_bytes: 4 * 1024,
             flush_interval_ns: 25_000,
             max_queued_batches: 16,
-            ..GroupCommitPolicy::default()
         },
     );
     for cb in generate(&mc) {

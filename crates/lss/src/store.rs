@@ -57,8 +57,6 @@ pub struct LssConfig {
     pub segment_pages: u32,
     /// Free-segment fraction below which host GC cleans from the log head.
     pub gc_free_watermark: f64,
-    /// Fraction host GC tries to restore.
-    pub gc_free_target: f64,
     /// Appended bytes between host mapping checkpoints (the durability tax
     /// of host-based log structuring).
     pub ckpt_interval_bytes: u64,
@@ -73,12 +71,14 @@ impl Default for LssConfig {
         LssConfig {
             segment_pages: 256,
             gc_free_watermark: 0.10,
-            gc_free_target: 0.15,
             ckpt_interval_bytes: 8 * 1024 * 1024,
             buffer_pages: 256,
         }
     }
 }
+
+/// Free-segment fraction host GC tries to restore.
+const GC_FREE_TARGET: f64 = 0.15;
 
 /// Host-side counters.
 #[derive(Debug, Clone, Default)]
@@ -317,7 +317,7 @@ impl LogStore {
     fn maybe_host_gc(&mut self) -> Result<()> {
         let n = self.segs.len() as f64;
         let watermark = (n * self.cfg.gc_free_watermark).ceil() as usize;
-        let target = (n * self.cfg.gc_free_target).ceil() as usize;
+        let target = (n * GC_FREE_TARGET).ceil() as usize;
         if self.free.len() >= watermark {
             return Ok(());
         }

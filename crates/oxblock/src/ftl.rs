@@ -50,22 +50,20 @@ pub struct OxConfig {
     /// Exposed logical pages (the rest of the capacity is
     /// over-provisioning).
     pub logical_pages: u64,
-    /// Free-EBLOCK fraction below which greedy GC runs.
-    pub gc_free_watermark: f64,
-    /// Logical pages per write context. The transport bounds an internal
-    /// write by the packet size (Section IX-C1); 16 pages = 64 KB.
-    pub context_pages: u32,
 }
 
 impl OxConfig {
     pub fn new(logical_pages: u64) -> Self {
-        OxConfig {
-            logical_pages,
-            gc_free_watermark: 0.10,
-            context_pages: 16,
-        }
+        OxConfig { logical_pages }
     }
 }
+
+/// Free-EBLOCK fraction below which greedy GC runs.
+const GC_FREE_WATERMARK: f64 = 0.10;
+
+/// Logical pages per write context. The transport bounds an internal write
+/// by the packet size (Section IX-C1); 16 pages = 64 KB.
+const CONTEXT_PAGES: usize = 16;
 
 /// Operation counters.
 #[derive(Debug, Clone, Default)]
@@ -189,10 +187,9 @@ impl OxBlock {
 
         let mut done = 0;
         // One write context per packet-bounded chunk (Section IX-C1).
-        let ctx_pages = self.cfg.context_pages as usize;
         let mut page_idx = 0usize;
         while page_idx < npages as usize {
-            let in_ctx = ctx_pages.min(npages as usize - page_idx);
+            let in_ctx = CONTEXT_PAGES.min(npages as usize - page_idx);
             self.stats.contexts += 1;
             self.dev
                 .clock_mut()
@@ -351,7 +348,7 @@ impl OxBlock {
         let geo = *self.dev.geometry();
         let total = geo.eblocks_per_channel as f64;
         for ch in 0..geo.channels {
-            let watermark = (total * self.cfg.gc_free_watermark).ceil() as usize;
+            let watermark = (total * GC_FREE_WATERMARK).ceil() as usize;
             let mut guard = geo.eblocks_per_channel * 2;
             while self.chans[ch as usize].free.len() < watermark && guard > 0 {
                 guard -= 1;

@@ -106,7 +106,6 @@ fn chaos_policy() -> GroupCommitPolicy {
         flush_bytes: 2 * 1024,
         flush_interval_ns: 200_000,
         max_queued_batches: 8,
-        ..GroupCommitPolicy::default()
     }
 }
 

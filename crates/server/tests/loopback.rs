@@ -220,7 +220,6 @@ fn graceful_shutdown_drains_every_inflight_group_durably() {
         flush_bytes: usize::MAX,
         flush_interval_ns: u64::MAX,
         max_queued_batches: 10_000,
-        ..GroupCommitPolicy::default()
     });
     let addr = handle.addr();
     let mut c = Client::connect(addr).unwrap();

@@ -44,11 +44,11 @@ echo "== sharded crash sweep (2 shards, cross-shard 2PC atomicity) =="
 cargo test -q --release -p eleos --test crash_sweep_sharded
 
 echo "== mapping-cache equivalence (demand paging vs memory resident) =="
-# The flash-resident mapping gates (DESIGN.md §15): tiny LRU / tiny CLOCK
-# / unbounded caches end every random schedule (with mid-run crash-recover
-# cycles) in identical logical state, and a never-binding bounded cache
-# replays the unbounded run byte-for-byte (snapshot-JSON equality) — the
-# anchor that keeps the crash sweeps valid oracles for demand paging.
+# The flash-resident mapping gate (DESIGN.md §15): two LRU twins, a tiny
+# cache under constant eviction pressure and one whose bound never binds,
+# end every random schedule (with mid-run crash-recover cycles) in
+# identical logical state — which keeps the crash sweeps, run with a roomy
+# cache, valid oracles for demand paging.
 cargo test -q --release -p eleos --test mapping_equivalence
 
 echo "== GC pass gates (deferred completion, fault sweeps, GC reads, fingerprint) =="

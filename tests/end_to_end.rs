@@ -37,7 +37,6 @@ fn eleos_tree(mode: PageMode, cache_pages: usize) -> BwTree<EleosStore> {
         BwTreeConfig {
             cache_pages,
             write_buffer_bytes: 256 * 1024,
-            ..Default::default()
         },
     )
 }
@@ -52,7 +51,6 @@ fn block_tree(cache_pages: usize) -> BwTree<BlockStore> {
         BwTreeConfig {
             cache_pages,
             write_buffer_bytes: 256 * 1024,
-            ..Default::default()
         },
     )
 }

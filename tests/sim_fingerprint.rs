@@ -13,9 +13,8 @@
 //! * `gc_churn` — uniform overwrites of variable-size pages at ~60 % of
 //!   raw capacity, with automatic checkpoints, then a crash and recovery;
 //!   the mapping cache holds the whole map.
-//! * `paged_lru` / `paged_clock` — skewed reads and overwrite batches
-//!   behind a mapping cache a quarter the size of the map, with deferred
-//!   I/O on, under each replacement policy.
+//! * `paged_lru` — skewed reads and overwrite batches behind an LRU
+//!   mapping cache a quarter the size of the map, with deferred I/O on.
 //! * `sharded` — a 2-shard array behind a 4-client group-commit
 //!   front-end: cross-shard (two-phase) and single-shard groups carrying
 //!   session advances, cross- and single-shard deletes, and direct
@@ -25,8 +24,8 @@
 use std::fmt::Write as _;
 
 use eleos_repro::eleos::{
-    Controller, Eleos, EleosConfig, EleosError, Frontend, GroupCommitPolicy, MapCachePolicy,
-    PageMode, ShardedEleos, Sid, TelemetrySnapshot, WriteBatch, WriteOpts,
+    Controller, Eleos, EleosConfig, EleosError, Frontend, GroupCommitPolicy, PageMode,
+    ShardedEleos, Sid, TelemetrySnapshot, WriteBatch, WriteOpts,
 };
 use eleos_repro::flash::{CostProfile, FlashDevice, Geometry};
 use rand::rngs::StdRng;
@@ -153,7 +152,7 @@ fn gc_churn(out: &mut String) {
 /// LPIDs, whose 64 translation pages share a 16-page cache. Requests of
 /// 16 reads, skewed to the first eighth of the LPIDs (which fits in the
 /// cache), and every eighth request an overwrite batch of 64 pages.
-fn paged(out: &mut String, script: &str, policy: MapCachePolicy) {
+fn paged(out: &mut String) {
     let geo = Geometry {
         channels: 4,
         eblocks_per_channel: 32,
@@ -166,7 +165,6 @@ fn paged(out: &mut String, script: &str, policy: MapCachePolicy) {
         max_user_lpid: lpids + 1,
         ckpt_log_bytes: 4 << 20,
         mapping_cache_pages: (lpids / 256 / 4) as usize,
-        mapping_cache_policy: policy,
         ..Default::default()
     };
     let mut ssd = Eleos::format(FlashDevice::new(geo, CostProfile::high_end_cpu()), cfg).unwrap();
@@ -195,7 +193,7 @@ fn paged(out: &mut String, script: &str, policy: MapCachePolicy) {
     }
     ssd.drain();
     st.verify(&mut ssd, "after the script");
-    fingerprint(out, script, &ssd.snapshot());
+    fingerprint(out, "paged_lru", &ssd.snapshot());
 }
 
 /// Two shards, each a `Geometry::tiny()` device (4 channels × 16 EBLOCKs
@@ -236,7 +234,6 @@ fn sharded(out: &mut String) {
             flush_bytes: 16 * 1024,
             flush_interval_ns: 50_000,
             max_queued_batches: 8,
-            ..GroupCommitPolicy::default()
         },
     );
     let sids: Vec<Sid> = (0..CLIENTS).map(|_| sh.open_session().unwrap()).collect();
@@ -315,8 +312,7 @@ fn sharded(out: &mut String) {
 fn simulation_matches_the_committed_fingerprint() {
     let mut got = String::new();
     gc_churn(&mut got);
-    paged(&mut got, "paged_lru", MapCachePolicy::Lru);
-    paged(&mut got, "paged_clock", MapCachePolicy::Clock);
+    paged(&mut got);
     sharded(&mut got);
 
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(FINGERPRINT);
