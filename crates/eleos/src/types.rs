@@ -108,12 +108,12 @@ pub enum ActionKind {
     Migrate,
 }
 
-/// `HashMap` / `HashSet` state for integer keys (LPIDs, translation-page
-/// numbers): one multiply per key where the std default runs SipHash.
-/// The multiplier is odd and drawn at random per table, as `RandomState`
-/// draws its keys, so clients cannot choose LPIDs that collide. No caller
-/// depends on a table's iteration order — they sort, or take a unique
-/// minimum — so the hasher moves host time only, never the simulation.
+/// `HashMap` / `HashSet` state for integer keys (the LPIDs of GC's
+/// validity-scan seen-set): one multiply per key where the std default
+/// runs SipHash. The multiplier is odd and drawn at random per table, as
+/// `RandomState` draws its keys, so clients cannot choose LPIDs that
+/// collide. The seen-set is only probed, never iterated, so the hasher
+/// moves host time only, never the simulation.
 #[derive(Debug, Clone)]
 pub(crate) struct IntHash(u64);
 
@@ -143,10 +143,6 @@ impl std::hash::Hasher for IntHasher {
         for &b in bytes {
             self.write_u64(b.into());
         }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(n.into());
     }
 
     fn write_u64(&mut self, n: u64) {

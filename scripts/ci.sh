@@ -48,8 +48,14 @@ echo "== mapping-cache equivalence (demand paging vs memory resident) =="
 # cache under constant eviction pressure and one whose bound never binds,
 # end every random schedule (with mid-run crash-recover cycles) in
 # identical logical state — which keeps the crash sweeps, run with a roomy
-# cache, valid oracles for demand paging.
+# cache, valid oracles for demand paging. The mapping unit tests hold the
+# cache's recency list to the plain LRU scan it replaced: a differential
+# proptest (cache_matches_the_scan_model) checks evictions, counters, the
+# dirty set, min rec LSN and overflow after every step of scripts that
+# overflow and recover, a failed fault keeps the scan's state, and the
+# eviction order is pinned.
 cargo test -q --release -p eleos --test mapping_equivalence
+cargo test -q --release -p eleos --lib mapping::
 
 echo "== GC pass gates (deferred completion, fault sweeps, GC reads, fingerprint) =="
 # One maybe_gc call relocates all of its rounds' victims in one system
