@@ -25,7 +25,7 @@
 //! both the workload RNG and the fault injector), so a divergence dumps a
 //! one-line repro command that replays the exact fault script.
 
-use crate::model::{Divergence, Model, Op};
+use crate::model::{read_lpid, Divergence, Model, Op};
 use crate::report::Table;
 use eleos::frontend::{Frontend, GroupCommitPolicy};
 use eleos::{Controller, Eleos, EleosConfig, EleosError, ShardedEleos, WriteBatch};
@@ -238,16 +238,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, Box<ChaosFailure>> {
         run_chaos_on::<Eleos>(cfg)
     } else {
         run_chaos_on::<ShardedEleos>(cfg)
-    }
-}
-
-/// One LPID as a [`Model`] reads it: its content, `None` when it is not
-/// found, or the error.
-fn read_lpid<C: Controller>(sh: &mut C, lpid: u64) -> Result<Option<impl AsRef<[u8]>>, String> {
-    match sh.read(lpid) {
-        Ok(data) => Ok(Some(data)),
-        Err(EleosError::NotFound(_)) => Ok(None),
-        Err(e) => Err(e.to_string()),
     }
 }
 

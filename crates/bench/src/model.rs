@@ -15,13 +15,15 @@
 //! against what the device reads back, and [`Model::audit`] checks every
 //! acknowledged page and delete. Both take the device as a `read` closure
 //! (content, `Ok(None)` for not-found, or an error), so a test can fake
-//! the device with a map and a remote client can read over the wire.
+//! the device with a map and a remote client can read over the wire;
+//! [`read_lpid`] is that closure for a [`Controller`].
 
+use eleos::{Controller, EleosError};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
-/// One mutating client operation: a write batch (each LPID at most once)
-/// or a delete batch.
+/// One mutating client operation: a write batch (an LPID written twice
+/// keeps the later copy) or a delete batch.
 #[derive(Debug, Clone)]
 pub enum Op {
     Write(Vec<(u64, Vec<u8>)>),
@@ -42,10 +44,20 @@ impl Op {
         match self {
             Op::Write(pages) => pages
                 .iter()
-                .find(|(l, _)| *l == lpid)
+                .rfind(|(l, _)| *l == lpid)
                 .map(|(_, d)| Some(d.as_slice())),
             Op::Delete(lpids) => lpids.contains(&lpid).then_some(None),
         }
+    }
+}
+
+/// One LPID as a [`Model`] reads it from a controller: its content,
+/// `None` when it is not found, or the error.
+pub fn read_lpid<C: Controller>(c: &mut C, lpid: u64) -> Result<Option<impl AsRef<[u8]>>, String> {
+    match c.read(lpid) {
+        Ok(data) => Ok(Some(data)),
+        Err(EleosError::NotFound(_)) => Ok(None),
+        Err(e) => Err(e.to_string()),
     }
 }
 
@@ -260,6 +272,15 @@ mod tests {
         assert_eq!(d.lpid, 2);
         assert!(d.what.starts_with("torn group"), "{d}");
         assert_eq!(m.audit(reader(&dev)), Ok(1));
+    }
+
+    #[test]
+    fn an_lpid_written_twice_in_one_batch_keeps_the_later_copy() {
+        let mut m = Model::default();
+        m.stage(Op::Write(vec![(1, page(1)), (2, page(2)), (1, page(3))]));
+        let dev = HashMap::from([(1, page(3)), (2, page(2))]);
+        assert_eq!(m.resolve(reader(&dev)), Ok(1));
+        assert_eq!(m.audit(reader(&dev)), Ok(2));
     }
 
     #[test]

@@ -26,9 +26,10 @@ pub enum GcPolicy {
     MinCostDecline = 0,
     /// Select EBLOCKs with most reclaimable space first.
     Greedy = 1,
-    /// Greedy restricted to the `GcConfig::greedy_window` oldest closed
-    /// EBLOCKs: an age window keeps hot EBLOCKs (still accruing garbage)
-    /// out of consideration without full cost modelling.
+    /// Greedy restricted to the 8 oldest closed EBLOCKs per channel
+    /// (`GREEDY_WINDOW` in the GC module): an age window keeps hot EBLOCKs
+    /// (still accruing garbage) out of consideration without full cost
+    /// modelling.
     WindowedGreedy = 3,
     /// Greedy discounted by lifetime erase count: a heavily erased EBLOCK
     /// looks proportionally less attractive, steering erases toward
@@ -76,14 +77,6 @@ pub struct GcConfig {
     /// share the user open EBLOCK: the paper always separates them, so 0 is
     /// an ablation.
     pub open_bins: usize,
-    /// Candidate window for [`GcPolicy::WindowedGreedy`]: greedy selection
-    /// considers only this many oldest closed EBLOCKs per channel. Too
-    /// narrow a window is dangerous, not just slow: under sequential fill
-    /// the oldest blocks are fully valid, so a tiny window degenerates to
-    /// oldest-first and can relocate valid data faster than it reclaims
-    /// garbage until the device reports `DeviceFull` (measured in the GC
-    /// policy lab, `eleos-bench::gc_lab`).
-    pub greedy_window: usize,
 }
 
 impl Default for GcConfig {
@@ -93,7 +86,6 @@ impl Default for GcConfig {
             free_watermark: 0.10,
             free_target: 0.15,
             open_bins: 3,
-            greedy_window: 8,
         }
     }
 }

@@ -40,6 +40,15 @@ type VictimPrep = (EblockAddr, Usn, Vec<(PageKind, Lpid)>);
 /// fills at most the GC bin it finds open, then one new EBLOCK.
 const ALLOCS_PER_VICTIM: usize = 1;
 
+/// Candidate window for [`GcPolicy::WindowedGreedy`]: greedy selection
+/// considers only this many oldest closed EBLOCKs per channel. Too narrow a
+/// window is dangerous, not just slow: under sequential fill the oldest
+/// blocks are fully valid, so a tiny window degenerates to oldest-first and
+/// can relocate valid data faster than it reclaims garbage until the device
+/// reports `DeviceFull` (measured in the GC policy lab,
+/// `eleos-bench::gc_lab`).
+const GREEDY_WINDOW: usize = 8;
+
 /// The relocation a GC pass has staged so far: the live pages of every
 /// round's victims, provisioned into one plan. Nothing of it is logged,
 /// programmed, installed or erased until [`Eleos::commit_pass`].
@@ -267,21 +276,22 @@ impl Eleos {
     /// are validated against the summary on pop: stale ones (erased or
     /// repurposed since insertion) are dropped, re-keyed ones corrected.
     fn pop_truncated_log_eblock(&mut self, channel: u32) -> Option<EblockAddr> {
+        let reclaim = &mut self.chans[channel as usize].log_reclaim;
         loop {
-            let &(key_lsn, eb) = self.chans[channel as usize].log_reclaim.iter().next()?;
+            let &(key_lsn, eb) = reclaim.iter().next()?;
             let addr = EblockAddr::new(channel, eb);
             let d = *self.summary.get(addr);
             if d.state != EblockState::Used || d.purpose != EblockPurpose::Log {
-                self.chans[channel as usize].log_reclaim.remove(&(key_lsn, eb));
+                reclaim.remove(&(key_lsn, eb));
                 continue;
             }
             if d.max_lsn != key_lsn {
-                self.chans[channel as usize].log_reclaim.remove(&(key_lsn, eb));
-                self.chans[channel as usize].log_reclaim.insert((d.max_lsn, eb));
+                reclaim.remove(&(key_lsn, eb));
+                reclaim.insert((d.max_lsn, eb));
                 continue;
             }
             if d.max_lsn < self.trunc_lsn {
-                self.chans[channel as usize].log_reclaim.remove(&(key_lsn, eb));
+                reclaim.remove(&(key_lsn, eb));
                 return Some(addr);
             }
             // The smallest max_lsn is not truncatable yet, so none are.
@@ -553,7 +563,7 @@ impl Eleos {
             // (still accruing garbage) stay out of consideration.
             GcPolicy::WindowedGreedy => {
                 candidates.sort_by_key(|&(a, d)| (d.ts, a.eblock));
-                let w = self.cfg.gc.greedy_window.max(1).min(candidates.len());
+                let w = GREEDY_WINDOW.min(candidates.len());
                 &candidates[..w]
             }
             _ => &candidates[..],

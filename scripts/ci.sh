@@ -4,7 +4,8 @@
 # the 3 end-to-end tests, the GC read-amplification guard and the
 # simulation fingerprint; --workspace is what exercises every crate),
 # lint-clean at -D warnings, the crash sweeps (single controller and
-# sharded), mapping-cache equivalence, the GC-pass gates (deferred
+# sharded, each cut judged by the per-client Model plus a cross-client
+# group check), mapping-cache equivalence, the GC-pass gates (deferred
 # completion, fault and power-cut sweeps over a multi-round pass, GC reads
 # and relocation actions, the simulation fingerprint — which also pins a
 # 2-shard group-commit script), the GC policy lab smoke, the
@@ -32,16 +33,14 @@ cargo test -q --workspace
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== crash sweep (every flash-command ordinal, shadow oracle) =="
-# Bounded: the scripted multi-client run issues a few hundred mutating
-# commands; the sweep crashes after each one (~seconds in release).
-cargo test -q --release -p eleos --test crash_sweep
-
-echo "== sharded crash sweep (2 shards, cross-shard 2PC atomicity) =="
-# Every mutating flash ordinal on each shard in turn becomes that shard's
-# last command; a group Prepared on one shard but not coordinator-
-# committed must roll back everywhere, a committed one must redo.
-cargo test -q --release -p eleos --test crash_sweep_sharded
+echo "== crash sweeps (every flash-command ordinal, 1 unit and 2 shards) =="
+# Bounded: each scripted multi-client run issues a few hundred mutating
+# commands, and the sweep crashes after each one, on each shard in turn
+# (~seconds in release). Each cut is judged by one Model per client
+# (resolve + audit), a ghost-page check over each client's LPID slice and
+# a cross-client check that the in-flight group committed for every client
+# and shard or for none.
+cargo test -q --release -p eleos-bench --test crash_sweep
 
 echo "== mapping-cache equivalence (demand paging vs memory resident) =="
 # The flash-resident mapping gate (DESIGN.md §15): two LRU twins, a tiny
